@@ -50,15 +50,14 @@ def _build():
 
 
 def _assert_bit_identity(session: InferenceSession, prompt: np.ndarray) -> None:
-    decoder = session.decoder
     steps = 4
-    full = decoder.forward(prompt[: PROMPT_LEN // 4])  # trimmed: full fwd is slow
-    cache = decoder.init_cache()
+    # trimmed: the full forward is slow
+    full = session.decoder.forward(prompt[: PROMPT_LEN // 4])
     cut = PROMPT_LEN // 4 - steps
-    pre = decoder.prefill(prompt[:cut], cache)
+    pre = session.prefill(prompt[:cut])
     assert np.array_equal(pre, full[:cut]), "prefill != forward"
     for i, token in enumerate(prompt[cut : cut + steps]):
-        step = decoder.decode_step(int(token), cache)
+        step = session.decode_step(int(token))
         assert np.array_equal(step, full[cut + i]), "decode_step != forward"
 
 

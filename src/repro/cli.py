@@ -413,7 +413,7 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
 
 
 def _serve_sim_data(args: argparse.Namespace, qmodel, spec, trace) -> int:
-    """``serve-sim --workers N --shard data``: route the trace to a fleet.
+    """``serve-sim --workers N``: route the trace to a data-parallel fleet.
 
     The in-memory quantized model is written to a temporary checkpoint
     directory and every worker loads it independently — the same
@@ -428,9 +428,8 @@ def _serve_sim_data(args: argparse.Namespace, qmodel, spec, trace) -> int:
 
     if args.draft != "none":
         raise ConfigError(
-            "--draft is not supported with --shard data: drafts live "
-            "inside the worker processes (use --shard tensor, or "
-            "--workers 1)"
+            "--draft is not supported with --workers > 1: drafts live "
+            "inside the worker processes (use --workers 1)"
         )
     with tempfile.TemporaryDirectory(prefix="pacq-serve-shard-") as tmp:
         save_model(tmp, qmodel)
@@ -627,7 +626,7 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         )
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    if args.workers > 1 and args.shard == "data":
+    if args.workers > 1:
         return _serve_sim_data(args, qmodel, spec, trace)
     prefix_cache = (
         RadixPrefixCache(args.prefix_cache_mb << 20)
@@ -673,23 +672,7 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         prefill_chunk=args.prefill_chunk,
         speculate=speculate,
     )
-    shard_group = None
-    worker_rows = None
-    plans_view = session.decoder.plans
-    if args.workers > 1:  # --shard tensor (data returned above)
-        from repro.serve.shard import tensor_shard
-
-        shard_group = tensor_shard(session, args.workers)
-    try:
-        report = replay(scheduler, trace, strict=False)
-        if shard_group is not None:
-            # The proxies (and the workers' shard histograms) carry the
-            # execution counts; close() restores the original plans.
-            plans_view = dict(session.decoder.plans)
-            worker_rows = shard_group.worker_histograms()
-    finally:
-        if shard_group is not None:
-            shard_group.close()
+    report = replay(scheduler, trace, strict=False)
     stats = scheduler.stats()
 
     rows = [
@@ -753,27 +736,15 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
                  f"{cache_stats.nodes} node(s)"],
             ],
         ))
-    builds = len(plans_view)
-    row_counts = sorted(
-        {m for plan in plans_view.values() for m in plan.row_stats()}
-    )
+    plans = session.decoder.plans
+    row_counts = sorted({m for plan in plans.values() for m in plan.row_stats()})
     print(
-        f"engine plans: {builds} built once, executed at batch sizes "
+        f"engine plans: {len(plans)} built once, executed at batch sizes "
         f"{row_counts} (plan reuse across varying row counts)"
     )
-    if shard_group is not None:
-        print(
-            f"shard: tensor x{args.workers} workers; {builds} matrices "
-            f"column-sharded at group boundaries, partial products gathered "
-            f"in rank order (bit-identical to --workers 1)"
-        )
     if args.json:
         record = {
-            "schema": (
-                "serve_sim/v5"
-                if args.codesign
-                else "serve_sim/v3" if shard_group is None else "serve_sim/v4"
-            ),
+            "schema": "serve_sim/v5" if args.codesign else "serve_sim/v3",
             "spec": {
                 "requests": spec.requests,
                 "seed": spec.seed,
@@ -854,27 +825,15 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
                 "bytes": cache_stats.bytes,
                 "nodes": cache_stats.nodes,
             }
-        if shard_group is not None:
-            record["shard"] = {
-                "mode": "tensor",
-                "workers": args.workers,
-                "matrices": builds,
-                "spans": {
-                    name: [list(span) for span in spans]
-                    for name, spans in shard_group.spans.items()
-                },
-                "worker_plan_rows": worker_rows,
-            }
         if args.codesign:
             from repro.codesign import capture_from_plans
 
             capture = capture_from_plans(
-                plans_view,
+                plans,
                 policy=args.codesign,
                 served_tokens=stats.total_new_tokens,
                 prompt_tokens=stats.prefill_tokens + stats.cached_prefix_tokens,
                 requests=stats.completed,
-                telemetry=session.telemetry,
             )
             record["codesign"] = capture.to_dict()
             print(
@@ -1286,14 +1245,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="engine backend for the batched GEMMs")
     serve_p.add_argument("--workers", type=int, default=1, metavar="N",
                          help="worker processes (default: 1 = in-process "
-                         "serving, no sharding)")
-    serve_p.add_argument("--shard", choices=("data", "tensor"), default="data",
-                         help="sharding mode when --workers > 1: 'data' "
-                         "routes whole requests to N full-model workers "
-                         "reading one shared checkpoint (arrival pacing is "
-                         "ignored; workers drain their queues flat out); "
-                         "'tensor' column-shards every weight matrix across "
-                         "N GEMM workers, bit-identical to --workers 1")
+                         "serving); N > 1 routes whole requests to N "
+                         "data-parallel full-model workers reading one "
+                         "shared checkpoint (arrival pacing is ignored; "
+                         "workers drain their queues flat out)")
     serve_p.add_argument("--vocab", type=int, default=256)
     serve_p.add_argument("--d-model", type=int, default=128)
     serve_p.add_argument("--n-heads", type=int, default=4)

@@ -11,9 +11,7 @@ byte-identical artifacts on any machine.
 Builders cover both capture sources:
 
 * :func:`capture_from_plans` — a live ``{site: GemmPlan}`` mapping
-  (single-process serving, including tensor-shard proxies, whose
-  missing ``bits`` attribute falls back to telemetry-derived
-  precision);
+  (single-process serving);
 * :func:`capture_from_histograms` — a fleet-merged
   :func:`repro.engine.plan_histograms` snapshot plus
   :func:`site_dims` from the fleet's merged telemetry (data-parallel
@@ -213,9 +211,8 @@ def site_dims(telemetry) -> dict[str, tuple[int, int, int]]:
     ``weight_bytes`` accumulates one full quantized matrix per call, so
     ``8 * weight_bytes / (calls * n * k)`` is the per-weight storage
     precision (group scale/zero overhead rounds away for the Table II
-    group shapes).  This is the fallback for plan views that do not
-    expose ``bits`` (tensor-shard proxies) and the only source for
-    fleet-merged histograms, whose plans live in worker processes.
+    group shapes).  This is the precision source for fleet-merged
+    histograms, whose plans live in worker processes.
     """
     out: dict[str, tuple[int, int, int]] = {}
     for name, stat in sorted(telemetry.stats.items()):
@@ -233,40 +230,27 @@ def capture_from_plans(
     served_tokens: int,
     prompt_tokens: int = 0,
     requests: int = 0,
-    telemetry=None,
 ) -> WorkloadCapture:
     """Capture a live ``{site: GemmPlan}`` mapping (single process).
 
     ``plans`` is any mapping of site name to an object exposing
-    ``n_dim`` / ``k_dim`` / ``row_stats()`` / ``phases()`` — real
-    :class:`~repro.engine.GemmPlan` objects or the tensor-shard
-    proxies.  ``telemetry`` supplies the weight precision for plan
-    views without a ``bits`` attribute (see :func:`site_dims`).
+    ``n_dim`` / ``k_dim`` / ``bits`` / ``row_stats()`` / ``phases()``
+    (a :class:`~repro.engine.GemmPlan`).
     """
     from repro.engine import plan_dims
 
     dims = plan_dims(plans)
-    tele_dims = site_dims(telemetry) if telemetry is not None else {}
     sites = []
     for name, plan in sorted(plans.items()):
         rows = _freeze_hist(plan.row_stats())
         if not rows:
             continue
-        bits = dims[name]["bits"]
-        if bits is None:
-            if name not in tele_dims:
-                raise ConfigError(
-                    f"cannot determine weight precision of site {name!r}: "
-                    "the plan view has no 'bits' and no telemetry was "
-                    "provided"
-                )
-            bits = tele_dims[name][2]
         sites.append(
             SiteCapture(
                 name=name,
                 n=dims[name]["n"],
                 k=dims[name]["k"],
-                weight_bits=bits,
+                weight_bits=dims[name]["bits"],
                 rows=rows,
                 phases=tuple(
                     sorted(

@@ -101,7 +101,6 @@ def _synthetic_capture(policy: str, requests: int, max_new: int) -> WorkloadCapt
         served_tokens=stats.total_new_tokens,
         prompt_tokens=stats.prefill_tokens + stats.cached_prefix_tokens,
         requests=stats.completed,
-        telemetry=session.telemetry,
     )
 
 

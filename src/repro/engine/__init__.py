@@ -53,7 +53,6 @@ from repro.engine.registry import (
     register_backend,
     unregister_backend,
 )
-from repro.engine.shard import shard_matrix, shard_spans
 
 __all__ = [
     "Backend",
@@ -69,7 +68,5 @@ __all__ = [
     "plan_cache_stats",
     "plan_gemm",
     "register_backend",
-    "shard_matrix",
-    "shard_spans",
     "unregister_backend",
 ]

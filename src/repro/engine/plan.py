@@ -331,23 +331,20 @@ def plan_histograms(plans: dict) -> dict[str, dict]:
     }
 
 
-def plan_dims(plans: dict) -> dict[str, dict[str, int | None]]:
+def plan_dims(plans: dict) -> dict[str, dict[str, int]]:
     """Serializable ``{site: {"n": ..., "k": ..., "bits": ...}}`` dims.
 
     The fixed-per-site companion of :func:`plan_histograms`: where the
     histogram snapshot carries what *varies* per execution (the ``m``
     counts), this carries what does not — each site's weight dimensions
     and storage precision, which a workload replay
-    (:mod:`repro.codesign`) needs to rebuild full GEMM shapes.  Plan
-    views without a ``bits`` attribute (tensor-shard proxies) report
-    ``None``; callers fall back to telemetry-derived precision.
+    (:mod:`repro.codesign`) needs to rebuild full GEMM shapes.
     """
     return {
         name: {
             "n": int(plan.n_dim),
             "k": int(plan.k_dim),
-            "bits": None if getattr(plan, "bits", None) is None
-            else int(plan.bits),
+            "bits": int(plan.bits),
         }
         for name, plan in plans.items()
     }

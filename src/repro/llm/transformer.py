@@ -11,30 +11,29 @@ Weights are seeded-random with realistic per-channel scale variation
 *relative* studies: quantized-vs-fp16 drift, group-shape effects, and
 generating the exact GEMM shapes the simulator prices.
 
-Incremental decoding
---------------------
+Incremental, batched decoding
+-----------------------------
 
 Serving decodes one token at a time; re-running the full sequence per
-token is O(seq) redundant work.  :class:`Decoder` therefore exposes a
-cache-aware step path — :meth:`Decoder.prefill` /
-:meth:`Decoder.decode_step` over a :class:`KVCache` — whose logits are
-**bit-identical** to :meth:`Decoder.forward` on the concatenated
-sequence.
+token is O(seq) redundant work.  A server also decodes *many*
+sequences concurrently; stepping them one by one pays one GEMM per
+weight matrix **per sequence** even though the engine's backends
+amortize over activation rows.  The decoder has one cached path for
+both — :class:`BatchedKVCache` (a preallocated slot pool with per-slot
+lengths, grow, truncate and release) plus
+:meth:`Decoder.prefill_ragged` / :meth:`Decoder.decode_batch` — which
+packs the new tokens of every active sequence into one row stack so
+each linear layer issues **one** GEMM for the whole batch (rows =
+active slots), while attention, RoPE and norms stay per-sequence.
+Single-sequence decoding is the same path with one slot:
+:meth:`Decoder.forward` is a prefill into a throwaway 1-slot cache, and
+:class:`repro.model.InferenceSession` owns a persistent one.
 
-Batched decoding
-----------------
-
-A server decodes *many* sequences concurrently; stepping them one by
-one pays one GEMM per weight matrix **per sequence** even though the
-engine's backends amortize over activation rows.  The multi-sequence
-path — :class:`BatchedKVCache` (a preallocated slot pool with per-slot
-lengths, grow and release) plus :meth:`Decoder.prefill_ragged` /
-:meth:`Decoder.decode_batch` — packs the new tokens of every active
-sequence into one row stack so each linear layer issues **one** GEMM
-for the whole batch (rows = active slots), while attention, RoPE and
-norms stay per-sequence.  Because every reduction on the path computes
-each activation row independently of its batch neighbours (see below),
-each sequence's logits are bit-identical to stepping it alone.  That guarantee needs reductions whose result for one token
+Because every reduction on the path computes each activation row
+independently of its batch neighbours (see below), each sequence's
+logits are bit-identical to stepping it alone, and every row is
+bit-identical to :meth:`Decoder.forward` on the concatenated
+sequence.  That guarantee needs reductions whose result for one token
 row does not depend on how many other rows are in the batch, so every
 matmul-shaped reduction here goes through :func:`_contract`
 (``np.einsum`` with ``optimize=False``): its per-output-element
@@ -203,8 +202,8 @@ def _contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     the contracted axis in a fixed order that depends only on the axis
     length — not on the batch (row) dimension — and trailing exact
     zeros leave the nonzero prefix's accumulation unchanged.  Both
-    properties are required for ``prefill``/``decode_step`` to be
-    bit-identical to ``forward`` (see module docstring); plain ``@``
+    properties are required for cached decoding to be bit-identical to
+    ``forward`` (see module docstring); plain ``@``
     provides neither.
     """
     return np.einsum(subscripts, *operands, optimize=False)
@@ -228,41 +227,6 @@ def _rope(x: np.ndarray, offset: int = 0) -> np.ndarray:
     return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
 
 
-class KVCache:
-    """Per-layer rotary key/value cache for incremental decoding.
-
-    Buffers are preallocated at ``[n_layers, n_heads, capacity,
-    d_head]`` so appending a block is a slice write, not a
-    reallocation.  ``length`` counts the tokens already decoded;
-    :meth:`Decoder.decode_step` advances it.
-    """
-
-    def __init__(self, config: TransformerConfig, capacity: int | None = None) -> None:
-        self.capacity = config.max_seq if capacity is None else capacity
-        if self.capacity < 1:
-            raise ConfigError("cache capacity must be >= 1")
-        shape = (config.n_layers, config.n_heads, self.capacity, config.d_head)
-        self.keys = np.zeros(shape)
-        self.values = np.zeros(shape)
-        self.length = 0
-
-    def store(self, layer: int, offset: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Write a block's roped keys/values at positions ``offset..``."""
-        m = k.shape[1]
-        if offset + m > self.capacity:
-            raise ConfigError(
-                f"cache overflow: {offset + m} tokens > capacity {self.capacity}"
-            )
-        self.keys[layer][:, offset : offset + m] = k
-        self.values[layer][:, offset : offset + m] = v
-
-    def view(self, layer: int, upto: int) -> tuple[np.ndarray, np.ndarray]:
-        """Keys/values of the first ``upto`` positions, ``[h, upto, d]``."""
-        # detlint: ignore[D007]: deliberate read-only attention view — consumed
-        # within the step; callers that retain state use snapshot()/copy_into().
-        return self.keys[layer][:, :upto], self.values[layer][:, :upto]
-
-
 class BatchedKVCache:
     """A preallocated pool of per-sequence KV caches ("slots").
 
@@ -279,8 +243,9 @@ class BatchedKVCache:
     * :meth:`ensure` — grow the shared ``capacity`` axis (doubling,
       capped at ``config.max_seq``) when a sequence is about to
       outrun it;
-    * :meth:`store` / :meth:`view` — the per-slot equivalents of
-      :class:`KVCache`'s accessors;
+    * :meth:`store` / :meth:`view` — write a block's roped keys/values
+      and read a slot's attention window;
+    * :meth:`truncate` — roll a slot back (speculative rollback);
     * :meth:`snapshot` / :meth:`copy_into` — copy a prefix of a slot's
       KV state out of / into the pool.  These are the prefix-cache
       primitives (:mod:`repro.serve.prefix`): both *copy*, so a cached
@@ -616,43 +581,10 @@ class Decoder:
         mixed = _contract("hij,hjd->hid", attn, v_all)  # [heads, m, d_head]
         return mixed.transpose(1, 0, 2).reshape(m, cfg.d_model)
 
-    def _attention(
-        self, x: np.ndarray, layer: int, cache: KVCache, offset: int
-    ) -> np.ndarray:
-        m = x.shape[0]
-        q = self._linear(x, layer, "wq")
-        k = self._linear(x, layer, "wk")
-        v = self._linear(x, layer, "wv")
-
-        q = _rope(self._heads(q), offset)
-        k = _rope(self._heads(k), offset)
-        cache.store(layer, offset, k, self._heads(v))
-        k_all, v_all = cache.view(layer, offset + m)
-        merged = self._attend(q, k_all, v_all, offset)
-        return self._linear(merged, layer, "wo")
-
     def _ffn(self, x: np.ndarray, layer: int) -> np.ndarray:
         gate = self._linear(x, layer, "w_gate")
         up = self._linear(x, layer, "w_up")
         return self._linear(_silu(gate) * up, layer, "w_down")
-
-    def _block(self, tokens: np.ndarray, cache: KVCache) -> np.ndarray:
-        """Run a block of new tokens against the cache; returns logits."""
-        cfg = self.config
-        offset = cache.length
-        x = self.weights.embedding[tokens]
-        for layer in range(cfg.n_layers):
-            norm = self.weights.norms[layer]
-            x = x + self._attention(
-                _rms_norm(x, norm["attn"], cfg.rms_eps), layer, cache, offset
-            )
-            x = x + self._ffn(_rms_norm(x, norm["ffn"], cfg.rms_eps), layer)
-        x = _rms_norm(x, self.weights.final_norm, cfg.rms_eps)
-        cache.length = offset + tokens.shape[0]
-        # Tied LM head, scaled so random-init logits stay O(1).
-        return _contract("id,vd->iv", x, self.weights.embedding) / np.sqrt(
-            cfg.d_model
-        )
 
     def _block_multi(
         self,
@@ -668,9 +600,9 @@ class Decoder:
         single GEMM of ``m = sum(len(g))`` rows; RoPE, cache writes and
         attention run per slot at that slot's own offset.  Returns one
         ``[len(groups[i]), vocab]`` logits array per group, each
-        bit-identical to running that block alone through
-        :meth:`_block` at the same offset (row-independent reductions
-        throughout — see the module docstring).
+        bit-identical to running that block alone in a 1-slot cache at
+        the same offset (row-independent reductions throughout — see
+        the module docstring).
         """
         cfg = self.config
         if len(groups) != len(slots) or not groups:
@@ -712,10 +644,6 @@ class Decoder:
 
     # -- public inference API ------------------------------------------------
 
-    def init_cache(self, capacity: int | None = None) -> KVCache:
-        """A fresh KV cache (default capacity: ``config.max_seq``)."""
-        return KVCache(self.config, capacity)
-
     def init_batched_cache(
         self, max_slots: int, capacity: int | None = None
     ) -> BatchedKVCache:
@@ -732,36 +660,12 @@ class Decoder:
             raise ConfigError(f"sequence longer than max_seq={cfg.max_seq}")
         if tokens.shape[0] == 0:
             return np.zeros((0, cfg.vocab))
-        # One code path with prefill: forward is a prefill into a
-        # throwaway cache, so the two are bit-identical by construction.
+        # One code path with serving: forward is a prefill into a
+        # throwaway 1-slot cache, so the two are bit-identical by
+        # construction.
+        cache = BatchedKVCache(cfg, 1, capacity=tokens.shape[0])
         with self._phased("prefill"):
-            return self._block(tokens, KVCache(cfg, capacity=tokens.shape[0]))
-
-    def prefill(self, tokens: np.ndarray, cache: KVCache) -> np.ndarray:
-        """Process the prompt into an empty cache; returns its logits.
-
-        Bit-identical to :meth:`forward` on the same tokens (it *is*
-        the same computation, with keys/values retained).
-        """
-        tokens = np.asarray(tokens)
-        if tokens.ndim != 1 or tokens.shape[0] < 1:
-            raise ConfigError("prefill takes a non-empty 1-D token sequence")
-        if cache.length != 0:
-            raise ConfigError("prefill needs an empty cache")
-        with self._phased("prefill"):
-            return self._block(tokens, cache)
-
-    def decode_step(self, token: int, cache: KVCache) -> np.ndarray:
-        """Append one token; returns its ``[vocab]`` logits row.
-
-        After ``prefill(tokens[:p])`` followed by steps over
-        ``tokens[p:]``, each step's row is bit-identical to the
-        corresponding row of ``forward(tokens)``.
-        """
-        if cache.length < 1:
-            raise ConfigError("decode_step needs a prefilled cache")
-        with self._phased("decode"):
-            return self._block(np.asarray([token]), cache)[0]
+            return self._block_multi([tokens], cache, [cache.allocate()])[0]
 
     def prefill_ragged(
         self,
@@ -776,7 +680,7 @@ class Decoder:
         Prompts may have different lengths; their rows are packed so
         each linear layer runs once over all of them.  Returns one
         ``[len(prompt_i), vocab]`` logits array per prompt, each
-        bit-identical to ``prefill(prompt_i, fresh_cache)``.  Slots
+        bit-identical to :meth:`forward` on ``prompt_i``.  Slots
         must be empty (fresh from :meth:`BatchedKVCache.allocate`)
         unless ``resume=True``, in which case each block is appended
         at its slot's current offset — the chunked-prefill primitive:
@@ -811,8 +715,8 @@ class Decoder:
         """Append one token to each slot; returns ``[batch, vocab]`` logits.
 
         The lock-step serving hot path: one GEMM per weight matrix for
-        the whole batch.  Row ``i`` is bit-identical to
-        ``decode_step(tokens[i], <slot i's cache alone>)``.
+        the whole batch.  Row ``i`` is bit-identical to decoding
+        ``tokens[i]`` with slot ``i``'s sequence alone in the cache.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim != 1 or tokens.shape[0] != len(slots):

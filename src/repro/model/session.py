@@ -7,14 +7,17 @@ Two session flavours over the GEMM execution engine:
   workload).  Applies AWQ equalization scales to activations when the
   layer carries them, and records telemetry per execution.
 * :class:`InferenceSession` — a whole quantized decoder.  Precompiles
-  every layer's plan at construction, owns a
-  :class:`~repro.llm.transformer.KVCache`, and exposes
+  every layer's plan at construction, owns a 1-slot
+  :class:`~repro.llm.transformer.BatchedKVCache` (the serving layer's
+  cache, one sequence wide), and exposes
   :meth:`InferenceSession.prefill` / :meth:`InferenceSession.decode_step`
   / :meth:`InferenceSession.generate` (greedy and top-k sampling) so
   per-token cost is O(1) GEMM work instead of an O(seq) full
   re-forward — while every logits row stays bit-identical to
   :meth:`~repro.llm.transformer.Decoder.forward` on the concatenated
-  sequence (see the transformer module docstring for why).
+  sequence (see the transformer module docstring for why).  Its
+  ``generate`` is the solo-decode oracle every served stream is
+  checked against.
 
 Both record per-layer :class:`Telemetry` — GEMM count, ``m/n/k``,
 MACs, weight/activation bytes moved — and the aggregate converts to
@@ -32,7 +35,7 @@ import numpy as np
 
 from repro.engine import plan_gemm
 from repro.errors import ConfigError
-from repro.llm.transformer import Decoder, DecoderWeights, KVCache, TransformerConfig
+from repro.llm.transformer import Decoder, DecoderWeights, TransformerConfig
 from repro.model.policy import QuantizedModel
 from repro.simt.memoryhier import GemmShape
 
@@ -271,10 +274,11 @@ class InferenceSession:
     """A quantized decoder ready to serve: plans, cache, sampling.
 
     Construction precompiles one :class:`~repro.engine.GemmPlan` per
-    quantized layer (via the engine's plan cache) and installs a shared
-    :class:`Telemetry`; :meth:`prefill` starts a sequence,
-    :meth:`decode_step` extends it at O(1) GEMM cost per token, and
-    :meth:`generate` wraps both with greedy or top-k sampling.
+    quantized layer (via the engine's plan cache), installs a shared
+    :class:`Telemetry` and claims the one slot of a 1-slot KV cache;
+    :meth:`prefill` starts a sequence in it, :meth:`decode_step`
+    extends it at O(1) GEMM cost per token, and :meth:`generate` wraps
+    both with greedy or top-k sampling.
     """
 
     def __init__(
@@ -298,7 +302,8 @@ class InferenceSession:
         self.decoder = Decoder(
             cfg, w, model, backend=backend, telemetry=self.telemetry
         )
-        self.cache: KVCache | None = None
+        self.cache = self.decoder.init_batched_cache(1)
+        self._slot = self.cache.allocate()
 
     @classmethod
     def from_checkpoint(cls, path, backend: str = "fast") -> "InferenceSession":
@@ -310,7 +315,7 @@ class InferenceSession:
     @property
     def position(self) -> int:
         """Tokens currently in the cache (0 before the first prefill)."""
-        return 0 if self.cache is None else self.cache.length
+        return int(self.cache.lengths[self._slot])
 
     def _check_tokens(self, tokens: np.ndarray) -> np.ndarray:
         return check_tokens(tokens, self.config.vocab)
@@ -318,17 +323,17 @@ class InferenceSession:
     def prefill(self, tokens: np.ndarray) -> np.ndarray:
         """Start a new sequence; returns logits for every prompt position."""
         tokens = self._check_tokens(tokens)
-        self.cache = self.decoder.init_cache()
-        return self.decoder.prefill(tokens, self.cache)
+        self.cache.truncate(self._slot, 0)
+        return self.decoder.prefill_ragged([tokens], self.cache, [self._slot])[0]
 
     def decode_step(self, token: int) -> np.ndarray:
         """Append one token to the current sequence; returns its logits."""
-        if self.cache is None:
+        if self.position < 1:
             raise ConfigError("decode_step before prefill")
         token = int(token)
         if not 0 <= token < self.config.vocab:
             raise ConfigError(f"token ids must lie in [0, {self.config.vocab})")
-        return self.decoder.decode_step(token, self.cache)
+        return self.decoder.decode_batch([token], self.cache, [self._slot])[0]
 
     _select = staticmethod(select_token)
 

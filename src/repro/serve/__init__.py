@@ -27,11 +27,9 @@ decoder so the per-token GEMMs amortize across the whole batch.
 * :func:`synthesize` / :func:`replay` (:mod:`repro.serve.trace`) —
   deterministic synthetic request traces (including shared-prefix
   traffic) and arrival-paced replay (the CLI's ``serve-sim``);
-* :class:`Router` / :func:`tensor_shard` (:mod:`repro.serve.shard`) —
-  multi-process sharding: a data-parallel router over N full-model
-  workers reading one shared checkpoint, and tensor-parallel
-  column-sharded GEMMs whose rank-ordered all-gather keeps logits
-  bit-identical to single-process execution on every backend.
+* :class:`Router` (:mod:`repro.serve.shard`) — multi-process
+  data-parallel serving: a router over N full-model workers reading one
+  shared checkpoint, streams bit-identical to one scheduler.
 
 Typical use::
 
@@ -60,9 +58,7 @@ from repro.serve.scheduler import (
 from repro.serve.shard import (
     FleetReport,
     Router,
-    TensorShardGroup,
     WorkerReport,
-    tensor_shard,
 )
 from repro.serve.speculative import (
     AdversarialDraft,
@@ -92,7 +88,6 @@ __all__ = [
     "SessionDraft",
     "SpeculativeResult",
     "SpeculativeSession",
-    "TensorShardGroup",
     "TraceSpec",
     "WorkerReport",
     "propose_batch",

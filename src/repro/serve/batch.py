@@ -1,10 +1,10 @@
 """Multi-sequence serving sessions over the batched decode path.
 
 :class:`BatchedSession` is the serving counterpart of
-:class:`repro.model.InferenceSession`: instead of one
-:class:`~repro.llm.transformer.KVCache`, it owns a
-:class:`~repro.llm.transformer.BatchedKVCache` slot pool and steps all
-resident sequences lock-step through
+:class:`repro.model.InferenceSession`: where the inference session
+keeps one sequence in a 1-slot
+:class:`~repro.llm.transformer.BatchedKVCache`, this session owns a
+pool of many slots and steps all resident sequences lock-step through
 :meth:`~repro.llm.transformer.Decoder.decode_batch`, so each decode
 step issues **one** GEMM per weight matrix with ``m = active slots``
 rows — the amortization the engine's ``batched`` backend exists for.

@@ -478,7 +478,7 @@ class Scheduler:
                 tokens.append(token)
                 remaining.append(state)
         if continuing:
-            if self.draft is not None and self.spec_k > 0:
+            if self.draft is not None:
                 finished = self._verify_decode(continuing, tokens)
                 if finished:
                     remaining = [s for s in remaining if id(s) not in finished]
@@ -507,7 +507,9 @@ class Scheduler:
         emits its longest draft prefix matching its own argmax chain —
         retiring mid-window on EOS or a filled budget — and rolls the
         rejected suffix back out of its slot.  Sampling requests carry
-        an empty window: for them this is exactly a decode step.
+        an empty window: for them this is exactly a decode step.  With
+        ``spec_k = 0`` every window is empty and each step is an
+        ``m = 1``-per-request verify pass.
         """
         from repro.serve.speculative import _check_proposals, propose_batch
 
@@ -535,13 +537,13 @@ class Scheduler:
                 )
                 for i in drafting
             ]
-            proposals = propose_batch(
-                self.draft, contexts, max(windows[i] for i in drafting)
-            )
+            asked = max(windows[i] for i in drafting)
+            proposals = propose_batch(self.draft, contexts, asked)
             for i, proposed in zip(drafting, proposals, strict=False):
-                drafts[i] = _check_proposals(
-                    np.asarray(proposed)[: windows[i]], windows[i], vocab
-                )
+                # Validate against what was asked before clipping to the
+                # request's own window: a draft that breaks the
+                # DraftModel contract is rejected, never served.
+                drafts[i] = _check_proposals(proposed, asked, vocab)[: windows[i]]
         bases = [self.session.position(state.slot) for state in states]
         blocks = [
             np.concatenate([[token], draft]).astype(np.int64)

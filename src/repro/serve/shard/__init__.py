@@ -1,19 +1,11 @@
-"""Multi-process sharded serving: data-parallel router + tensor shards.
+"""Multi-process data-parallel serving.
 
-Two orthogonal ways past the one-process throughput ceiling:
-
-* **Data parallel** (:class:`Router`) — N worker processes, each a
-  full model loaded from one shared checkpoint directory, with
-  least-outstanding-tokens dispatch and fleet-merged telemetry.
-  Scales aggregate tokens/s with cores; per-request latency unchanged.
-* **Tensor parallel** (:func:`tensor_shard` /
-  :class:`TensorShardGroup`) — every weight matrix column-sharded
-  across N workers, partial products gathered in fixed rank order.
-  Output is bit-identical to single-process execution on every
-  backend (see :mod:`repro.serve.shard.tensor` for the argument).
-
-Both modes ride :mod:`repro.core.procutil` for process management and
-are wired into ``pacq-repro serve-sim`` via ``--workers/--shard``.
+:class:`Router` runs N worker processes, each a full model loaded from
+one shared checkpoint directory, with least-outstanding-tokens
+dispatch and fleet-merged telemetry.  It scales aggregate tokens/s
+with cores (given one BLAS thread per worker); per-request latency is
+unchanged.  It rides :mod:`repro.core.procutil` for process management
+and is wired into ``pacq-repro serve-sim`` via ``--workers N``.
 """
 
 from repro.serve.shard.router import (
@@ -22,14 +14,10 @@ from repro.serve.shard.router import (
     WorkerReport,
     queue_wait_percentiles,
 )
-from repro.serve.shard.tensor import ShardedPlan, TensorShardGroup, tensor_shard
 
 __all__ = [
     "FleetReport",
     "Router",
-    "ShardedPlan",
-    "TensorShardGroup",
     "WorkerReport",
     "queue_wait_percentiles",
-    "tensor_shard",
 ]

@@ -44,11 +44,11 @@ Drafts
   always-wrong draft.  Both extremes must still be token-identical —
   they are the property suite's bounds.
 
-:class:`SpeculativeSession` is the single-sequence API mirroring
-``InferenceSession.generate``; the batched integration is
+The accept/rollback loop lives in one place,
 ``Scheduler(speculate=(draft, k))`` (:mod:`repro.serve.scheduler`),
 which verifies every resident greedy request's window in one ragged
-pass per step.
+pass per step.  :class:`SpeculativeSession` is the single-sequence API
+mirroring ``InferenceSession.generate``: a one-request scheduler run.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ from repro.llm.transformer import (
 )
 from repro.model.session import check_tokens
 from repro.serve.batch import BatchedSession
+from repro.serve.scheduler import Request, Scheduler
 
 
 @runtime_checkable
@@ -362,15 +363,16 @@ class SpeculativeResult:
 class SpeculativeSession:
     """Greedy speculative generation, token-identical to ``generate``.
 
-    The single-sequence counterpart of
-    ``Scheduler(speculate=(draft, k))``: one slot, one draft, and a
-    ``generate`` mirroring :meth:`repro.model.InferenceSession.generate`
-    (greedy only — speculation is an argmax-chain property).  Each
-    iteration feeds ``[pending] + draft(k)`` through one verify pass
-    (``m = k + 1`` rows, one GEMM per weight matrix), emits the longest
-    matching greedy prefix plus the pass's own argmax token, and
-    truncates the rejected suffix out of the KV cache.  ``k = 0``
-    degenerates to plain one-token-at-a-time decoding.
+    A one-request run of ``Scheduler(speculate=(draft, k))`` over a
+    1-slot :class:`~repro.serve.BatchedSession`, with a ``generate``
+    mirroring :meth:`repro.model.InferenceSession.generate` (greedy
+    only — speculation is an argmax-chain property).  The scheduler's
+    verify loop is the only accept/rollback loop: each step feeds
+    ``[pending] + draft(k)`` through one verify pass (``m = k + 1``
+    rows, one GEMM per weight matrix), emits the longest matching
+    greedy prefix plus the pass's own argmax token, and truncates the
+    rejected suffix out of the KV cache.  ``k = 0`` degenerates to
+    plain one-token-at-a-time decoding through ``m = 1`` verify passes.
     """
 
     def __init__(
@@ -421,8 +423,7 @@ class SpeculativeSession:
         """
         if max_new_tokens < 1:
             raise ConfigError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
-        vocab = self.config.vocab
-        prompt = check_tokens(prompt, vocab)
+        prompt = check_tokens(prompt, self.config.vocab)
         total = prompt.shape[0] + max_new_tokens
         if total > self.config.max_seq:
             raise ConfigError(
@@ -430,62 +431,21 @@ class SpeculativeSession:
                 f"({max_new_tokens}) = {total} exceeds "
                 f"max_seq={self.config.max_seq}"
             )
-        slots, last = self._session.join([prompt])
-        slot = slots[0]
-        out = [int(t) for t in prompt]
-        drafted = accepted = verify_steps = 0
-        generated = 0
-        finish = "length"
-        pending = int(np.argmax(last[0]))
+        scheduler = Scheduler(self._session, speculate=(self.draft, self.k))
         try:
-            while True:
-                out.append(pending)
-                generated += 1
-                if eos_token is not None and pending == eos_token:
-                    finish = "eos"
-                    break
-                if generated >= max_new_tokens:
-                    break
-                window = min(self.k, max_new_tokens - generated)
-                drafts = np.zeros(0, dtype=np.int64)
-                if window > 0:
-                    drafts = _check_proposals(
-                        self.draft.propose(np.asarray(out), window),
-                        window,
-                        vocab,
-                    )
-                base = self._session.position(slot)
-                block = np.concatenate([[pending], drafts]).astype(np.int64)
-                rows = self._session.verify_step([slot], [block])[0]
-                verify_steps += 1
-                drafted += drafts.shape[0]
-                j = 0
-                next_token = int(np.argmax(rows[0]))
-                terminal = None
-                while j < drafts.shape[0] and int(drafts[j]) == next_token:
-                    out.append(next_token)
-                    generated += 1
-                    accepted += 1
-                    j += 1
-                    if eos_token is not None and next_token == eos_token:
-                        terminal = "eos"
-                        break
-                    if generated >= max_new_tokens:
-                        terminal = "length"
-                        break
-                    next_token = int(np.argmax(rows[j]))
-                self._session.truncate(slot, base + 1 + j)
-                if terminal is not None:
-                    finish = terminal
-                    break
-                pending = next_token
+            [result] = scheduler.run(
+                [Request(prompt, max_new_tokens, eos_token=eos_token)]
+            )
         finally:
-            self._session.retire(slot)
+            # A step that raised (e.g. a draft breaking its contract)
+            # strands its slot; free it so the session stays usable.
+            for slot in self._session.active_slots:
+                self._session.retire(slot)
         return SpeculativeResult(
-            tokens=np.asarray(out, dtype=np.int64),
-            prompt_length=prompt.shape[0],
-            finish_reason=finish,
-            drafted_tokens=drafted,
-            accepted_draft_tokens=accepted,
-            verify_steps=verify_steps,
+            tokens=result.tokens,
+            prompt_length=result.prompt_length,
+            finish_reason=result.finish_reason,
+            drafted_tokens=result.drafted_tokens,
+            accepted_draft_tokens=result.accepted_draft_tokens,
+            verify_steps=scheduler.stats().verify_steps,
         )

@@ -102,10 +102,7 @@ class TestBitIdentity:
         rng = np.random.default_rng(0)
         sizes = (3, 5) if backend == "bitexact" else (5, 9, 3, 12)
         prompts = [rng.integers(0, config.vocab, size=n) for n in sizes]
-        singles = []
-        for prompt in prompts:
-            cache = decoder.init_cache()
-            singles.append(decoder.prefill(prompt, cache))
+        singles = [decoder.forward(prompt) for prompt in prompts]
         batched_cache = decoder.init_batched_cache(len(prompts), capacity=16)
         slots = [batched_cache.allocate() for _ in prompts]
         ragged = decoder.prefill_ragged(prompts, batched_cache, slots)
@@ -120,12 +117,9 @@ class TestBitIdentity:
         steps = 2 if backend == "bitexact" else 5
         sizes = (3, 4) if backend == "bitexact" else (5, 9, 3)
         prompts = [rng.integers(0, config.vocab, size=n) for n in sizes]
-        single_caches = []
-        last = []
-        for prompt in prompts:
-            cache = decoder.init_cache()
-            last.append(decoder.prefill(prompt, cache)[-1])
-            single_caches.append(cache)
+        solos = [InferenceSession(qmodel, backend=backend) for _ in prompts]
+        for solo, prompt in zip(solos, prompts, strict=True):
+            solo.prefill(prompt)
         batched_cache = decoder.init_batched_cache(len(prompts), capacity=16)
         slots = [batched_cache.allocate() for _ in prompts]
         ragged = decoder.prefill_ragged(prompts, batched_cache, slots)
@@ -134,7 +128,7 @@ class TestBitIdentity:
             tokens = [int(np.argmax(row)) for row in batch_last]
             batch = decoder.decode_batch(tokens, batched_cache, slots)
             for i, token in enumerate(tokens):
-                single = decoder.decode_step(token, single_caches[i])
+                single = solos[i].decode_step(token)
                 assert np.array_equal(batch[i], single), (backend, i, step)
             batch_last = list(batch)
 
@@ -144,28 +138,25 @@ class TestBitIdentity:
         decoder = Decoder(config, weights, qmodel, backend="fast")
         rng = np.random.default_rng(2)
         prompts = [rng.integers(0, config.vocab, size=n) for n in (6, 4, 8)]
-        caches = []
-        for prompt in prompts:
-            cache = decoder.init_cache()
-            decoder.prefill(prompt, cache)
-            caches.append(cache)
+        solos = [InferenceSession(qmodel, backend="fast") for _ in prompts]
+        for solo, prompt in zip(solos, prompts, strict=True):
+            solo.prefill(prompt)
         batched_cache = decoder.init_batched_cache(3, capacity=16)
         slots = [batched_cache.allocate() for _ in prompts]
         decoder.prefill_ragged(prompts, batched_cache, slots)
         decoder.decode_batch([1, 2, 3], batched_cache, slots)
-        for i, token in enumerate((1, 2, 3)):
-            decoder.decode_step(token, caches[i])
+        for solo, token in zip(solos, (1, 2, 3), strict=True):
+            solo.decode_step(token)
         # retire the middle sequence; the survivors keep decoding exactly
         batched_cache.release(slots[1])
         batch = decoder.decode_batch([4, 5], batched_cache, [slots[0], slots[2]])
-        assert np.array_equal(batch[0], decoder.decode_step(4, caches[0]))
-        assert np.array_equal(batch[1], decoder.decode_step(5, caches[2]))
+        assert np.array_equal(batch[0], solos[0].decode_step(4))
+        assert np.array_equal(batch[1], solos[2].decode_step(5))
         # a new sequence joins in the freed slot
         joined = rng.integers(0, config.vocab, size=5)
         slot = batched_cache.allocate()
         assert slot == slots[1]
-        fresh = decoder.init_cache()
-        expect = decoder.prefill(joined, fresh)
+        expect = decoder.forward(joined)
         got = decoder.prefill_ragged([joined], batched_cache, [slot])
         assert np.array_equal(got[0], expect)
 
@@ -174,14 +165,14 @@ class TestBitIdentity:
         config, weights, qmodel = setup
         decoder = Decoder(config, weights, qmodel, backend="fast")
         prompt = np.arange(6) % config.vocab
-        single = decoder.init_cache()
-        decoder.prefill(prompt, single)
+        single = InferenceSession(qmodel, backend="fast")
+        single.prefill(prompt)
         cache = decoder.init_batched_cache(1, capacity=7)
         slot = cache.allocate()
         decoder.prefill_ragged([prompt], cache, [slot])
         for token in (1, 2, 3):  # crosses capacity 7 -> grows to 14
             batch = decoder.decode_batch([token], cache, [slot])
-            assert np.array_equal(batch[0], decoder.decode_step(token, single))
+            assert np.array_equal(batch[0], single.decode_step(token))
         assert cache.capacity == 14
 
 

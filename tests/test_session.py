@@ -8,7 +8,6 @@ from repro.llm.bigram import make_bigram_lm
 from repro.llm.perplexity import evaluate_perplexity
 from repro.llm.transformer import (
     Decoder,
-    KVCache,
     TransformerConfig,
     init_weights,
     quantize_weights,
@@ -36,80 +35,83 @@ def setup():
 
 
 class TestKvCacheBitIdentity:
-    """prefill + N x decode_step must equal forward bit-for-bit."""
+    """InferenceSession prefill + N x decode_step must equal forward
+    bit-for-bit (the 1-slot batched cache path)."""
 
     #: Engine backends whose kernels compute each activation row
     #: independently of the batch ("reference" is BLAS-backed and
     #: carries no such guarantee).
     BACKENDS = ("fast", "batched", "bitexact")
 
+    @staticmethod
+    def assert_steps_match_forward(session, decoder, tokens, cut):
+        full = decoder.forward(tokens)
+        assert np.array_equal(session.prefill(tokens[:cut]), full[:cut])
+        for i, token in enumerate(tokens[cut:]):
+            step = session.decode_step(int(token))
+            assert np.array_equal(step, full[cut + i]), i
+        assert session.position == tokens.shape[0]
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_steps_match_forward(self, setup, backend):
         config, weights, tokens, qmodel = setup
         n = 8 if backend == "bitexact" else tokens.shape[0]
-        toks = tokens[:n]
+        session = InferenceSession(qmodel, backend=backend)
         decoder = Decoder(config, weights, qmodel, backend=backend)
-        full = decoder.forward(toks)
-        cache = decoder.init_cache()
-        prefill = decoder.prefill(toks[:3], cache)
-        assert np.array_equal(prefill, full[:3])
-        for i, token in enumerate(toks[3:]):
-            step = decoder.decode_step(int(token), cache)
-            assert np.array_equal(step, full[3 + i]), (backend, i)
+        self.assert_steps_match_forward(session, decoder, tokens[:n], 3)
 
     def test_single_token_prefill_and_long_offsets(self, setup):
         # RoPE offsets exercised far from zero: prefill one token, then
         # step through a long tail one position at a time.
         config, weights, tokens, qmodel = setup
+        session = InferenceSession(qmodel, backend="fast")
         decoder = Decoder(config, weights, qmodel, backend="fast")
-        full = decoder.forward(tokens)
-        cache = decoder.init_cache()
-        decoder.prefill(tokens[:1], cache)
-        for i, token in enumerate(tokens[1:]):
-            step = decoder.decode_step(int(token), cache)
-            assert np.array_equal(step, full[1 + i])
+        self.assert_steps_match_forward(session, decoder, tokens, 1)
 
     def test_fp16_fallback_path(self, setup):
         config, weights, tokens, _ = setup
-        decoder = Decoder(config, weights)  # no quantized layers at all
-        full = decoder.forward(tokens)
-        cache = decoder.init_cache()
-        decoder.prefill(tokens[:5], cache)
-        for i, token in enumerate(tokens[5:]):
-            assert np.array_equal(
-                decoder.decode_step(int(token), cache), full[5 + i]
-            )
+        # no quantized layers at all: every linear is the FP16 fallback
+        model = quantize_model(weights, parse_policy("*=fp16"), config=config)
+        assert not model.matrices()
+        session = InferenceSession(model)
+        decoder = Decoder(config, weights)
+        self.assert_steps_match_forward(session, decoder, tokens, 5)
 
     def test_partial_quantization_path(self, setup):
         config, weights, tokens, _ = setup
+        model = quantize_model(
+            weights, parse_policy("layer*.w[qkvo]=int4@g[8,4]"), config=config
+        )
         q = quantize_weights(weights, bits=4, group=GroupSpec(8, 4))
         only_attn = {k: v for k, v in q.items() if ".w" in k and "w_" not in k}
+        assert sorted(model.matrices()) == sorted(only_attn)
+        session = InferenceSession(model)
         decoder = Decoder(config, weights, only_attn)
-        full = decoder.forward(tokens)
-        cache = decoder.init_cache()
-        decoder.prefill(tokens[:4], cache)
-        for i, token in enumerate(tokens[4:]):
-            assert np.array_equal(
-                decoder.decode_step(int(token), cache), full[4 + i]
-            )
+        self.assert_steps_match_forward(session, decoder, tokens, 4)
 
     def test_cache_misuse_rejected(self, setup):
-        config, weights, tokens, qmodel = setup
-        decoder = Decoder(config, weights, qmodel)
-        cache = decoder.init_cache()
+        _, _, tokens, qmodel = setup
+        session = InferenceSession(qmodel)
+        assert session.position == 0
         with pytest.raises(ConfigError):
-            decoder.decode_step(1, cache)  # decode before prefill
-        decoder.prefill(tokens[:3], cache)
-        with pytest.raises(ConfigError):
-            decoder.prefill(tokens[:3], cache)  # prefill into used cache
+            session.decode_step(1)  # decode before prefill
+        session.prefill(tokens[:3])
+        session.decode_step(1)
+        # a second prefill starts a fresh sequence in the same slot
+        again = session.prefill(tokens[:3])
+        assert session.position == 3
+        assert np.array_equal(again, session.prefill(tokens[:3]))
 
     def test_cache_capacity_enforced(self, setup):
-        config, weights, tokens, qmodel = setup
-        decoder = Decoder(config, weights, qmodel)
-        cache = KVCache(config, capacity=4)
-        decoder.prefill(tokens[:4], cache)
-        with pytest.raises(ConfigError):
-            decoder.decode_step(1, cache)
+        config, _, tokens, qmodel = setup
+        session = InferenceSession(qmodel)
+        window = np.resize(tokens, config.max_seq)
+        session.prefill(window[:-1])
+        session.decode_step(int(window[-1]))  # the last position fits
+        with pytest.raises(ConfigError, match=f"max_seq={config.max_seq}"):
+            session.decode_step(1)  # one past the context window
+        with pytest.raises(ConfigError, match=f"max_seq={config.max_seq}"):
+            session.prefill(np.resize(tokens, config.max_seq + 1))
 
 
 class TestInferenceSession:

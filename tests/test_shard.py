@@ -1,16 +1,11 @@
-"""Multi-process sharded serving: spans, shards, router, telemetry.
+"""Multi-process data-parallel serving: router, telemetry, procutil.
 
 Covers the `repro.serve.shard` layer and its supports:
 
-* :func:`shard_spans` / :func:`shard_matrix` — group-aligned column
-  splits whose recombination is exact, and per-backend bit-identity of
-  sharded partial GEMMs against the unsharded plan;
 * :mod:`repro.core.procutil` — the shared start-method pick and worker
-  spawn used by the harness executor and both shard modes;
+  spawn used by the harness executor and the router;
 * ``Telemetry.snapshot/merge`` and the plan-histogram snapshot — the
   serializable telemetry workers ship back to the router;
-* :class:`TensorShardGroup` — plan swap-in/swap-out and stream
-  identity through ``InferenceSession``;
 * :class:`Router` — least-outstanding-tokens dispatch, fleet-merged
   reports, and bit-identical results vs single-process serving;
 * concurrent checkpoint readers — N processes loading the same
@@ -29,22 +24,15 @@ from repro.core.procutil import (
     preferred_start_method,
     spawn_worker,
 )
-from repro.engine import (
-    merge_plan_histograms,
-    plan_gemm,
-    plan_histograms,
-    shard_matrix,
-    shard_spans,
-)
-from repro.errors import ConfigError, QuantizationError
+from repro.engine import merge_plan_histograms, plan_gemm, plan_histograms
+from repro.errors import ConfigError
 from repro.llm.transformer import TransformerConfig, init_weights
-from repro.model import InferenceSession, parse_policy, quantize_model
+from repro.model import parse_policy, quantize_model
 from repro.model.checkpoint import save_model
 from repro.model.session import Telemetry
 from repro.quant.groups import GroupSpec
 from repro.quant.rtn import quantize_rtn
-from repro.serve import BatchedSession, Request, Router, Scheduler, tensor_shard
-from repro.serve.shard import ShardedPlan, TensorShardGroup
+from repro.serve import BatchedSession, Request, Router, Scheduler
 
 
 @pytest.fixture(scope="module")
@@ -71,65 +59,6 @@ def make_matrix(k=32, n=24, group=None, bits=4, seed=0):
     rng = np.random.default_rng(seed)
     group = group if group is not None else GroupSpec(8, 4)
     return quantize_rtn(rng.standard_normal((k, n)), bits, group)
-
-
-class TestShardSpans:
-    def test_spans_cover_and_align(self):
-        spans = shard_spans(24, 4, 3)
-        assert spans == [(0, 8), (8, 16), (16, 24)]
-        for lo, hi in spans:
-            assert lo % 4 == 0 and hi % 4 == 0
-
-    def test_remainder_goes_to_early_ranks(self):
-        spans = shard_spans(28, 4, 3)  # 7 groups over 3 ranks: 3+2+2
-        assert spans == [(0, 12), (12, 20), (20, 28)]
-
-    def test_world_of_one_is_the_whole_matrix(self):
-        assert shard_spans(24, 4, 1) == [(0, 24)]
-
-    def test_more_workers_than_groups_rejected(self):
-        with pytest.raises(QuantizationError):
-            shard_spans(8, 4, 3)
-
-    def test_misaligned_n_rejected(self):
-        with pytest.raises(QuantizationError):
-            shard_spans(26, 4, 2)
-
-    def test_bad_world_rejected(self):
-        with pytest.raises(QuantizationError):
-            shard_spans(24, 4, 0)
-
-
-class TestShardMatrix:
-    def test_shards_recombine_to_the_original(self):
-        qm = make_matrix()
-        shards = shard_matrix(qm, 3)
-        assert sum(s.n_dim for s in shards) == qm.n_dim
-        recombined = np.concatenate([s.dequantize() for s in shards], axis=1)
-        assert recombined.tobytes() == qm.dequantize().tobytes()
-
-    def test_shards_keep_geometry(self):
-        qm = make_matrix()
-        for shard in shard_matrix(qm, 2):
-            assert shard.group == qm.group
-            assert shard.bits == qm.bits
-            assert shard.k_dim == qm.k_dim
-            assert shard.n_dim % qm.group.n == 0
-
-    @pytest.mark.parametrize("backend", ("fast", "batched", "bitexact"))
-    @pytest.mark.parametrize("world", (2, 3))
-    def test_partial_gemms_bit_identical(self, backend, world):
-        """Rank-ordered concat of shard GEMMs == the unsharded GEMM."""
-        qm = make_matrix()
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((5, qm.k_dim))
-        expect = plan_gemm(qm).execute(a, backend=backend)
-        parts = [
-            plan_gemm(shard).execute(a, backend=backend)
-            for shard in shard_matrix(qm, world)
-        ]
-        got = np.concatenate(parts, axis=1)
-        assert got.tobytes() == expect.tobytes()
 
 
 def _echo_worker(conn, offset):
@@ -210,55 +139,6 @@ class TestPlanHistograms:
         merge_plan_histograms(merged, snap)
         assert merged["site"]["rows"] == {2: 4, 5: 2}
         assert merged["site"]["phases"]["prefill"] == {5: 2}
-
-
-class TestTensorShardGroup:
-    def test_generate_stream_identical(self, setup):
-        _, _, qmodel = setup
-        prompt = np.array([3, 1, 4, 1, 5], dtype=np.int64)
-        expect = InferenceSession(qmodel, backend="fast").generate(
-            prompt, 8, top_k=4, seed=7
-        )
-        session = InferenceSession(qmodel, backend="fast")
-        with tensor_shard(session, 2):
-            got = session.generate(prompt, 8, top_k=4, seed=7)
-        assert np.array_equal(expect.tokens, got.tokens)
-
-    def test_plans_swapped_and_restored(self, setup):
-        _, _, qmodel = setup
-        session = InferenceSession(qmodel, backend="fast")
-        originals = dict(session.decoder.plans)
-        group = tensor_shard(session, 2)
-        try:
-            assert all(
-                isinstance(plan, ShardedPlan)
-                for plan in session.decoder.plans.values()
-            )
-        finally:
-            group.close()
-        assert session.decoder.plans == originals
-        with pytest.raises(RuntimeError):
-            group.execute("layer0.wq", np.zeros((1, 32)), "fast", None)
-
-    def test_proxy_records_histograms(self, setup):
-        _, _, qmodel = setup
-        session = InferenceSession(qmodel, backend="fast")
-        with tensor_shard(session, 2) as group:
-            session.generate(np.array([1, 2, 3]), 4)
-            proxy = session.decoder.plans["layer0.wq"]
-            assert proxy.row_stats()  # prefill m=3 + decode m=1 rows
-            assert proxy.execute_count == sum(proxy.row_stats().values())
-            worker_rows = group.worker_histograms()
-        assert set(worker_rows) == set(session.decoder.plans)
-        assert worker_rows["layer0.wq"]["rows"] == {
-            m: count * 2 for m, count in proxy.row_stats().items()
-        }
-
-    def test_world_of_one_rejected(self, setup):
-        _, _, qmodel = setup
-        session = InferenceSession(qmodel, backend="fast")
-        with pytest.raises(ConfigError):
-            TensorShardGroup(session.decoder, 1)
 
 
 def trace(config, count=6, seed=5):

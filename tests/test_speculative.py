@@ -283,6 +283,20 @@ class TestSchedulerSpeculation:
             if r.spec_steps:
                 assert r.accepted_per_step >= 0
 
+    def test_draft_output_validated_before_clipping(self, setup):
+        """A draft proposing more than the k it was asked for breaks
+        the DraftModel contract: rejected, never clipped and served."""
+        config, _, qmodel = setup
+
+        class TooMany:
+            def propose(self, context, k):
+                return np.zeros(k + 1, dtype=np.int64)
+
+        session = BatchedSession(qmodel, backend="fast", max_slots=2)
+        scheduler = Scheduler(session, max_batch=2, speculate=(TooMany(), 2))
+        with pytest.raises(ConfigError, match="at most 2"):
+            scheduler.run([Request(prompt=np.arange(4) % config.vocab, max_new=8)])
+
     def test_speculate_validated(self, setup, drafts):
         _, _, qmodel = setup
         session = BatchedSession(qmodel, backend="fast", max_slots=2)
@@ -396,6 +410,28 @@ class TestDrafts:
             SpeculativeSession(qmodel, TooMany(), 2).generate(prompt, 6)
         with pytest.raises(ConfigError, match="outside"):
             SpeculativeSession(qmodel, OutOfVocab(), 2).generate(prompt, 6)
+
+    def test_failed_generate_frees_the_slot(self, setup, drafts):
+        """A draft error mid-generate leaves the session reusable."""
+        config, _, qmodel = setup
+
+        class BreaksOnce:
+            def __init__(self, inner):
+                self.inner = inner
+                self.broken = False
+
+            def propose(self, context, k):
+                if not self.broken:
+                    self.broken = True
+                    return np.zeros(k + 1, dtype=np.int64)
+                return self.inner.propose(context, k)
+
+        session = SpeculativeSession(qmodel, BreaksOnce(drafts["bigram"]), 2)
+        prompt = np.arange(4) % config.vocab
+        with pytest.raises(ConfigError, match="at most"):
+            session.generate(prompt, 6)
+        result = session.generate(prompt, 6)
+        assert list(map(int, result.tokens)) == reference_stream(qmodel, prompt, 6)
 
 
 class TestTruncate:

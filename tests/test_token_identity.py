@@ -8,13 +8,12 @@ same tokens —
 * ``Scheduler`` replay (continuous batching),
 * chunked prefill (``prefill_chunk``),
 * the radix prefix cache (``prefix_cache``),
-* speculative decoding (``speculate=(draft, k)``),
-* tensor-parallel GEMM sharding (``repro.serve.shard.tensor_shard``),
+* speculative decoding (``speculate=(draft, k)``, and the
+  single-sequence ``SpeculativeSession``),
 * and any stack of those features.
 
-Batching, chunking, caching, speculation and sharding are *scheduling*
-(or *placement*) decisions; none of them may change a single emitted
-token.
+Batching, chunking, caching and speculation are *scheduling*
+decisions; none of them may change a single emitted token.
 """
 
 import numpy as np
@@ -31,22 +30,18 @@ from repro.serve import (
     Scheduler,
     SessionDraft,
     SpeculativeSession,
-    tensor_shard,
 )
 
 #: Scheduler configurations under test, as keyword-builder tuples:
-#: (needs_prefix_cache, prefill_chunk, speculate_draft_name, spec_k,
-#: tensor_shard_workers — 0 = unsharded).
+#: (needs_prefix_cache, prefill_chunk, speculate_draft_name, spec_k).
 PATHS = {
-    "scheduler": (False, None, None, 0, 0),
-    "chunked-prefill": (False, 6, None, 0, 0),
-    "prefix-cache": (True, 6, None, 0, 0),
-    "speculative-bigram": (False, None, "bigram", 4, 0),
-    "speculative-int2": (False, None, "int2", 2, 0),
-    "speculative-adversarial": (False, None, "adversarial", 3, 0),
-    "tensor-shard": (False, None, None, 0, 2),
-    "everything-on": (True, 6, "bigram", 4, 0),
-    "everything-on-sharded": (True, 6, "bigram", 4, 2),
+    "scheduler": (False, None, None, 0),
+    "chunked-prefill": (False, 6, None, 0),
+    "prefix-cache": (True, 6, None, 0),
+    "speculative-bigram": (False, None, "bigram", 4),
+    "speculative-int2": (False, None, "int2", 2),
+    "speculative-adversarial": (False, None, "adversarial", 3),
+    "everything-on": (True, 6, "bigram", 4),
 }
 
 
@@ -124,9 +119,22 @@ def reference_streams(qmodel, requests, backend="fast"):
     return out
 
 
+@pytest.fixture(scope="module")
+def reference(setup, requests):
+    """backend -> reference streams, each computed once per module."""
+    memo = {}
+
+    def streams(backend):
+        if backend not in memo:
+            memo[backend] = reference_streams(setup[2], requests, backend)
+        return memo[backend]
+
+    return streams
+
+
 def scheduler_streams(setup, requests, path, backend="fast"):
     config, _, qmodel = setup
-    with_cache, chunk, draft_name, k, shard_workers = PATHS[path]
+    with_cache, chunk, draft_name, k = PATHS[path]
     session = BatchedSession(
         qmodel,
         backend=backend,
@@ -139,12 +147,7 @@ def scheduler_streams(setup, requests, path, backend="fast"):
     scheduler = Scheduler(
         session, max_batch=4, prefill_chunk=chunk, speculate=speculate
     )
-    shard = tensor_shard(session, shard_workers) if shard_workers else None
-    try:
-        results = scheduler.run(requests)
-    finally:
-        if shard is not None:
-            shard.close()
+    results = scheduler.run(requests)
     return [(list(map(int, r.tokens)), r.finish_reason) for r in results]
 
 
@@ -157,6 +160,16 @@ class TestTokenIdentity:
         for request_index, (a, b) in enumerate(zip(expect, got, strict=False)):
             assert a == b, (path, request_index)
 
+    @pytest.mark.parametrize("backend", ("batched", "bitexact"))
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_path_matches_reference_on_backend(
+        self, setup, requests, reference, path, backend
+    ):
+        """The matrix holds on every row-independent backend, including
+        the ``bitexact`` validator."""
+        got = scheduler_streams(setup, requests, path, backend=backend)
+        assert got == reference(backend)
+
     @pytest.mark.parametrize("backend", ("fast", "batched"))
     def test_backends_agree_on_the_full_stack(self, setup, requests, backend):
         """The everything-on path is identical per backend too."""
@@ -164,22 +177,6 @@ class TestTokenIdentity:
         expect = reference_streams(qmodel, requests, backend=backend)
         got = scheduler_streams(
             setup, requests, "everything-on", backend=backend
-        )
-        assert got == expect
-
-    @pytest.mark.parametrize("backend", ("fast", "batched", "bitexact"))
-    def test_tensor_shard_matches_reference(self, setup, requests, backend):
-        """Column sharding is bit-identical on every backend.
-
-        Each backend computes output columns independently, so the
-        rank-ordered gather of per-worker partial products must
-        reproduce the single-process stream exactly — including on the
-        ``bitexact`` validator backend.
-        """
-        _, _, qmodel = setup
-        expect = reference_streams(qmodel, requests, backend=backend)
-        got = scheduler_streams(
-            setup, requests, "tensor-shard", backend=backend
         )
         assert got == expect
 
