@@ -495,14 +495,15 @@ def _serve_sim_data(args: argparse.Namespace, qmodel, spec, trace) -> int:
         f"batch sizes {row_counts} (fleet-merged histogram)"
     )
     if args.json:
-        from repro.codesign import capture_from_histograms, site_dims
+        from repro.codesign import capture_from_histograms
+        from repro.model.session import Telemetry
 
-        telemetry = fleet.merged_telemetry()
+        telemetry = Telemetry(merged_rows, fleet.plan_dims)
         codesign_block = None
         if args.codesign:
             capture = capture_from_histograms(
                 merged_rows,
-                site_dims(telemetry),
+                fleet.plan_dims,
                 policy=args.codesign,
                 served_tokens=fleet.total_new_tokens,
                 prompt_tokens=sum(r.prompt_length for r in fleet.results),
@@ -583,6 +584,7 @@ def _serve_sim_data(args: argparse.Namespace, qmodel, spec, trace) -> int:
 
 
 def _cmd_serve_sim(args: argparse.Namespace) -> int:
+    from repro.engine import diff_plan_histograms, plan_dims, plan_histograms
     from repro.llm.transformer import TransformerConfig, init_weights
     from repro.model import parse_policy, quantize_model
     from repro.serve import (
@@ -672,8 +674,12 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         prefill_chunk=args.prefill_chunk,
         speculate=speculate,
     )
+    plans = session.decoder.plans
+    # Snapshot after set-up: draft distillation is not served traffic.
+    before = plan_histograms(plans)
     report = replay(scheduler, trace, strict=False)
     stats = scheduler.stats()
+    served = diff_plan_histograms(plan_histograms(plans), before)
 
     rows = [
         [
@@ -736,8 +742,7 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
                  f"{cache_stats.nodes} node(s)"],
             ],
         ))
-    plans = session.decoder.plans
-    row_counts = sorted({m for plan in plans.values() for m in plan.row_stats()})
+    row_counts = sorted({m for site in served.values() for m in site["rows"]})
     print(
         f"engine plans: {len(plans)} built once, executed at batch sizes "
         f"{row_counts} (plan reuse across varying row counts)"
@@ -826,10 +831,11 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
                 "nodes": cache_stats.nodes,
             }
         if args.codesign:
-            from repro.codesign import capture_from_plans
+            from repro.codesign import capture_from_histograms
 
-            capture = capture_from_plans(
-                plans,
+            capture = capture_from_histograms(
+                served,
+                plan_dims(plans),
                 policy=args.codesign,
                 served_tokens=stats.total_new_tokens,
                 prompt_tokens=stats.prefill_tokens + stats.cached_prefix_tokens,

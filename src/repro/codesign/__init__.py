@@ -1,9 +1,11 @@
 """Hardware co-design loop: replay served workloads through the cost models.
 
 The serving stack (:mod:`repro.serve`) records the *exact* GEMM shape
-histogram a served trace produced — per-plan ``row_stats(phase=...)``
-histograms, session :class:`~repro.model.session.Telemetry`, and the
-fleet-merged snapshots of :mod:`repro.serve.shard`.  This package
+histogram a served trace produced — the per-plan phase-tagged
+``{m: count}`` histograms of :mod:`repro.engine`, the one record of
+GEMM work (a session's :class:`~repro.model.session.Telemetry` and the
+fleet-merged snapshots of :mod:`repro.serve.shard` read the same
+histograms).  This package
 closes the loop back to the paper's hardware models: a captured
 workload is replayed bucket-by-bucket through the cycle-level SIMT
 simulator (:func:`repro.simt.simulate_gemm`), the energy breakdown
@@ -35,9 +37,7 @@ from repro.codesign.capture import (
     SiteCapture,
     WorkloadCapture,
     capture_from_histograms,
-    capture_from_plans,
     load_capture,
-    site_dims,
 )
 from repro.codesign.replay import ArchPoint, PhaseCost, ReplayCost, replay_capture
 from repro.codesign.report import (
@@ -57,12 +57,10 @@ __all__ = [
     "SiteCapture",
     "WorkloadCapture",
     "capture_from_histograms",
-    "capture_from_plans",
     "cost_rows",
     "load_capture",
     "render_codesign_csv",
     "render_codesign_section",
     "replay_capture",
-    "site_dims",
     "splice_section",
 ]

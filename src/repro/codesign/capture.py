@@ -8,14 +8,12 @@ served token.  Everything is a plain count — no wall-clock fields —
 so a capture written by ``serve-sim --codesign`` replays to
 byte-identical artifacts on any machine.
 
-Builders cover both capture sources:
-
-* :func:`capture_from_plans` — a live ``{site: GemmPlan}`` mapping
-  (single-process serving);
-* :func:`capture_from_histograms` — a fleet-merged
-  :func:`repro.engine.plan_histograms` snapshot plus
-  :func:`site_dims` from the fleet's merged telemetry (data-parallel
-  serving, where the plans live in worker processes).
+One builder, :func:`capture_from_histograms`, covers every capture
+source: a :func:`repro.engine.plan_histograms` snapshot (or the
+difference of two, so set-up work such as draft distillation is left
+out) plus :func:`repro.engine.plan_dims`.  Single-process serving
+snapshots its own plans; data-parallel serving merges the histograms
+its worker processes ship back.
 
 The JSON form (``codesign_capture/v1``) round-trips exactly:
 ``WorkloadCapture.from_dict(json.loads(json.dumps(c.to_dict()))) == c``.
@@ -204,87 +202,25 @@ class WorkloadCapture:
         )
 
 
-def site_dims(telemetry) -> dict[str, tuple[int, int, int]]:
-    """``{site: (n, k, weight_bits)}`` recovered from a ``Telemetry``.
-
-    ``weight_bits`` comes from the accounted storage traffic:
-    ``weight_bytes`` accumulates one full quantized matrix per call, so
-    ``8 * weight_bytes / (calls * n * k)`` is the per-weight storage
-    precision (group scale/zero overhead rounds away for the Table II
-    group shapes).  This is the precision source for fleet-merged
-    histograms, whose plans live in worker processes.
-    """
-    out: dict[str, tuple[int, int, int]] = {}
-    for name, stat in sorted(telemetry.stats.items()):
-        if stat.calls < 1:
-            continue
-        bits = round(8.0 * stat.weight_bytes / (stat.calls * stat.n * stat.k))
-        out[name] = (stat.n, stat.k, max(int(bits), 1))
-    return out
-
-
-def capture_from_plans(
-    plans: Mapping[str, Any],
-    *,
-    policy: str,
-    served_tokens: int,
-    prompt_tokens: int = 0,
-    requests: int = 0,
-) -> WorkloadCapture:
-    """Capture a live ``{site: GemmPlan}`` mapping (single process).
-
-    ``plans`` is any mapping of site name to an object exposing
-    ``n_dim`` / ``k_dim`` / ``bits`` / ``row_stats()`` / ``phases()``
-    (a :class:`~repro.engine.GemmPlan`).
-    """
-    from repro.engine import plan_dims
-
-    dims = plan_dims(plans)
-    sites = []
-    for name, plan in sorted(plans.items()):
-        rows = _freeze_hist(plan.row_stats())
-        if not rows:
-            continue
-        sites.append(
-            SiteCapture(
-                name=name,
-                n=dims[name]["n"],
-                k=dims[name]["k"],
-                weight_bits=dims[name]["bits"],
-                rows=rows,
-                phases=tuple(
-                    sorted(
-                        (phase, _freeze_hist(hist))
-                        for phase, hist in plan.phases().items()
-                    )
-                ),
-            )
-        )
-    return WorkloadCapture(
-        policy=policy,
-        served_tokens=served_tokens,
-        prompt_tokens=prompt_tokens,
-        requests=requests,
-        sites=tuple(sites),
-    )
-
-
 def capture_from_histograms(
     histograms: Mapping[str, Mapping[str, Any]],
-    dims: Mapping[str, tuple[int, int, int]],
+    dims: Mapping[str, Mapping[str, int]],
     *,
     policy: str,
     served_tokens: int,
     prompt_tokens: int = 0,
     requests: int = 0,
 ) -> WorkloadCapture:
-    """Capture a :func:`repro.engine.plan_histograms` snapshot (fleet).
+    """Capture a :func:`repro.engine.plan_histograms` snapshot.
 
     ``histograms`` is the ``{site: {"rows": ..., "phases": ...}}``
-    shape the data-parallel router merges across workers
-    (:meth:`~repro.serve.FleetReport.merged_plan_rows`); ``dims`` maps
-    each site to ``(n, k, weight_bits)`` — typically
-    ``site_dims(fleet.merged_telemetry())``.
+    shape of a plan snapshot, a
+    :func:`~repro.engine.diff_plan_histograms` difference, or the
+    router's fleet merge
+    (:meth:`~repro.serve.FleetReport.merged_plan_rows`); ``dims`` is
+    :func:`repro.engine.plan_dims` of the same plans (each site's
+    ``n``, ``k`` and code precision ``bits``).  Sites that executed
+    nothing are left out.
     """
     sites = []
     for name, snap in sorted(histograms.items()):
@@ -295,13 +231,13 @@ def capture_from_histograms(
             raise ConfigError(
                 f"histogram site {name!r} has no (n, k, bits) entry in dims"
             )
-        n, k, bits = dims[name]
+        site = dims[name]
         sites.append(
             SiteCapture(
                 name=name,
-                n=n,
-                k=k,
-                weight_bits=bits,
+                n=site["n"],
+                k=site["k"],
+                weight_bits=site["bits"],
                 rows=rows,
                 phases=tuple(
                     sorted(

@@ -24,7 +24,7 @@ import json
 
 from repro.codesign.capture import (
     WorkloadCapture,
-    capture_from_plans,
+    capture_from_histograms,
     load_capture,
 )
 from repro.codesign.replay import ArchPoint, replay_capture
@@ -46,8 +46,11 @@ def _synthetic_capture(policy: str, requests: int, max_new: int) -> WorkloadCapt
     The model is the small self-calibrated transformer the serving
     tests use; the trace has shared-prefix traffic so ``prefix-cache``
     actually exercises the radix cache.  Greedy decoding keeps every
-    count deterministic.
+    count deterministic.  The capture counts served traffic only: the
+    plan histograms are snapshotted after set-up (draft distillation
+    included) and the replay's executions are the difference.
     """
+    from repro.engine import diff_plan_histograms, plan_dims, plan_histograms
     from repro.llm.transformer import TransformerConfig, init_weights
     from repro.model import parse_policy, quantize_model
     from repro.serve import (
@@ -93,10 +96,13 @@ def _synthetic_capture(policy: str, requests: int, max_new: int) -> WorkloadCapt
         prefill_chunk=16 if policy == "prefix-cache" else None,
         speculate=speculate,
     )
+    plans = session.decoder.plans
+    before = plan_histograms(plans)
     replay(scheduler, trace, strict=True)
     stats = scheduler.stats()
-    return capture_from_plans(
-        session.decoder.plans,
+    return capture_from_histograms(
+        diff_plan_histograms(plan_histograms(plans), before),
+        plan_dims(plans),
         policy=policy,
         served_tokens=stats.total_new_tokens,
         prompt_tokens=stats.prefill_tokens + stats.cached_prefix_tokens,

@@ -38,6 +38,7 @@ from repro.engine import backends as _backends  # noqa: F401  (registers built-i
 from repro.engine.plan import (
     GemmPlan,
     clear_plan_cache,
+    diff_plan_histograms,
     merge_plan_histograms,
     plan_cache_size,
     plan_cache_stats,
@@ -59,6 +60,7 @@ __all__ = [
     "GemmPlan",
     "backend_names",
     "clear_plan_cache",
+    "diff_plan_histograms",
     "get_backend",
     "list_backends",
     "merge_plan_histograms",

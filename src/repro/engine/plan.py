@@ -64,6 +64,9 @@ class GemmPlan:
         self.gk, self.gn = qm.group.grid_shape(qm.k_dim, qm.n_dim)
         self.group_k: int = qm.group.k
         self.group_n: int = qm.group.n
+        #: Storage footprint of codes + group metadata, in bits: the
+        #: weight traffic of one execution.
+        self.storage_bits: int = qm.storage_bits()
         #: Additive constant of Eq. (1): 1032 for INT4, 1026 for INT2.
         self.offset: float = float(transform_offset(qm.bits))
         #: Distinct transformed-weight values: 16 for INT4, 4 for INT2.
@@ -332,19 +335,22 @@ def plan_histograms(plans: dict) -> dict[str, dict]:
 
 
 def plan_dims(plans: dict) -> dict[str, dict[str, int]]:
-    """Serializable ``{site: {"n": ..., "k": ..., "bits": ...}}`` dims.
+    """Serializable ``{site: {"n", "k", "bits", "storage_bits"}}`` dims.
 
     The fixed-per-site companion of :func:`plan_histograms`: where the
     histogram snapshot carries what *varies* per execution (the ``m``
-    counts), this carries what does not — each site's weight dimensions
-    and storage precision, which a workload replay
-    (:mod:`repro.codesign`) needs to rebuild full GEMM shapes.
+    counts), this carries what does not — each site's weight dimensions,
+    code precision and total storage bits (codes + group metadata),
+    which a workload replay (:mod:`repro.codesign`) and the
+    :class:`~repro.model.session.Telemetry` view need to rebuild full
+    GEMM shapes and bytes moved.
     """
     return {
         name: {
             "n": int(plan.n_dim),
             "k": int(plan.k_dim),
             "bits": int(plan.bits),
+            "storage_bits": int(plan.storage_bits),
         }
         for name, plan in plans.items()
     }
@@ -366,3 +372,30 @@ def merge_plan_histograms(into: dict[str, dict], fresh: dict[str, dict]) -> dict
             for m, count in hist.items():
                 merged[m] = merged.get(m, 0) + count
     return into
+
+
+def diff_plan_histograms(now: dict[str, dict], before: dict[str, dict]) -> dict:
+    """The executions in snapshot ``now`` that snapshot ``before`` lacks.
+
+    Plans are memoized per matrix and shared by every session over it,
+    so their histograms are cumulative; subtracting a snapshot taken at
+    some earlier point (a session's construction, the start of a
+    served run) leaves exactly the work done since.  Empty buckets are
+    dropped; site order follows ``now``.
+    """
+    def minus(hist: dict, old: dict) -> dict:
+        out = {m: count - old.get(m, 0) for m, count in hist.items()}
+        return {m: count for m, count in out.items() if count}
+
+    out = {}
+    for name, snap in now.items():
+        old = before.get(name, {"rows": {}, "phases": {}})
+        phases = {
+            phase: minus(hist, old["phases"].get(phase, {}))
+            for phase, hist in snap["phases"].items()
+        }
+        out[name] = {
+            "rows": minus(snap["rows"], old["rows"]),
+            "phases": {phase: hist for phase, hist in phases.items() if hist},
+        }
+    return out

@@ -70,8 +70,8 @@ class BigramLm:
         ``qhead`` is a :class:`~repro.quant.rtn.QuantizedMatrix` or a
         :class:`~repro.model.policy.QuantizedLayer` (policy output,
         AWQ equalization scales applied to activations at execution).
-        The session precompiles the head's plan (cached by the engine)
-        and records telemetry per executed batch.
+        The session precompiles the head's plan (cached by the engine);
+        its ``telemetry`` view counts the batches executed through it.
         """
         from repro.model.session import MatrixSession
 

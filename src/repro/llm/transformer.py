@@ -464,9 +464,10 @@ class Decoder:
     scales; the corresponding activations are divided by them before
     the GEMM (the fold-upstream deployment, applied at runtime).
 
-    ``telemetry`` (see :class:`repro.model.session.Telemetry`) receives
-    one record per linear execution — GEMM shape and bytes moved — and
-    is normally installed by :class:`~repro.model.InferenceSession`.
+    GEMM work is counted once, by the plans themselves: every
+    execution lands in its plan's phase-tagged row histogram, which
+    :class:`repro.model.session.Telemetry` and :mod:`repro.codesign`
+    read.  FP16-kept linears have no plan and are not counted.
     """
 
     def __init__(
@@ -475,12 +476,10 @@ class Decoder:
         weights: DecoderWeights,
         quantized: "dict[str, QuantizedMatrix] | object | None" = None,
         backend: str = "fast",
-        telemetry=None,
     ) -> None:
         self.config = config
         self.weights = weights
         self.backend = backend
-        self.telemetry = telemetry
         # Model-level bundles carry activation scales; duck-typed so
         # this module does not import repro.model (which imports us).
         if hasattr(quantized, "matrices"):
@@ -495,10 +494,6 @@ class Decoder:
         self._inv_scales = {
             name: 1.0 / np.asarray(scales, dtype=np.float64)
             for name, scales in act_scales.items()
-        }
-        #: Storage bits per execution of each planned layer (telemetry).
-        self._weight_bits = {
-            name: qm.storage_bits() for name, qm in self.quantized.items()
         }
         #: FP16-rounded reference weights for every layer without a
         #: plan, cached once here instead of being re-derived per call.
@@ -524,24 +519,15 @@ class Decoder:
         finally:
             self._phase = previous
 
-    def _record(self, name: str, m: int, n: int, k: int, weight_bits: int) -> None:
-        if self.telemetry is not None:
-            self.telemetry.record(name, m=m, n=n, k=k, weight_bits=weight_bits)
-
     def _linear(self, x: np.ndarray, layer: int, name: str) -> np.ndarray:
         key = f"layer{layer}.{name}"
         plan = self.plans.get(key)
         if plan is not None:
             inv = self._inv_scales.get(key)
             a = x if inv is None else x * inv[None, :]
-            self._record(key, x.shape[0], plan.n_dim, plan.k_dim,
-                         self._weight_bits[key])
             return plan.execute(a, backend=self.backend, phase=self._phase)
-        w16 = self._w16[key]
-        self._record(key, x.shape[0], w16.shape[1], w16.shape[0],
-                     16 * w16.size)
         return _contract(
-            "ij,jk->ik", x.astype(np.float16).astype(np.float64), w16
+            "ij,jk->ik", x.astype(np.float16).astype(np.float64), self._w16[key]
         )
 
     def _heads(self, t: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ Two session flavours over the GEMM execution engine:
 * :class:`MatrixSession` — one quantized matrix behind a precompiled
   :class:`~repro.engine.GemmPlan` (the bigram LM head, any single-layer
   workload).  Applies AWQ equalization scales to activations when the
-  layer carries them, and records telemetry per execution.
+  layer carries them.
 * :class:`InferenceSession` — a whole quantized decoder.  Precompiles
   every layer's plan at construction, owns a 1-slot
   :class:`~repro.llm.transformer.BatchedKVCache` (the serving layer's
@@ -19,21 +19,21 @@ Two session flavours over the GEMM execution engine:
   ``generate`` is the solo-decode oracle every served stream is
   checked against.
 
-Both record per-layer :class:`Telemetry` — GEMM count, ``m/n/k``,
-MACs, weight/activation bytes moved — and the aggregate converts to
-the :class:`~repro.simt.memoryhier.GemmShape` objects that
+Both expose per-layer :class:`Telemetry` — GEMM count, ``m/n/k``,
+MACs, weight/activation bytes moved — read from the engine plans'
+phase-tagged histograms (the one record of GEMM work).  The aggregate
+converts to the :class:`~repro.simt.memoryhier.GemmShape` objects that
 :func:`repro.core.metrics.evaluate`, :func:`repro.core.roofline.analyze`
 and the :mod:`repro.energy` cost model price.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine import plan_gemm
+from repro.engine import diff_plan_histograms, plan_dims, plan_gemm, plan_histograms
 from repro.errors import ConfigError
 from repro.llm.transformer import Decoder, DecoderWeights, TransformerConfig
 from repro.model.policy import QuantizedModel
@@ -87,18 +87,18 @@ def select_token(
     return int(rng.choice(candidates, p=probs))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GemmStat:
-    """Accumulated telemetry of one named GEMM site."""
+    """Per-site GEMM totals of one :class:`Telemetry` view."""
 
     name: str
     n: int
     k: int
-    calls: int = 0
-    rows: int = 0  #: total activation rows (sum of m over calls)
-    macs: int = 0
-    weight_bytes: float = 0.0  #: quantized storage moved, summed over calls
-    activation_bytes: float = 0.0  #: FP16 activation traffic (2 B/element)
+    calls: int
+    rows: int  #: total activation rows (sum of m over calls)
+    macs: int
+    weight_bytes: float  #: quantized storage moved, summed over calls
+    activation_bytes: float  #: FP16 activation traffic (2 B/element)
 
     def shape(self, pad_to: int = 1) -> GemmShape:
         """The site's aggregate GEMM (all calls fused along ``m``).
@@ -114,26 +114,47 @@ class GemmStat:
 
 
 class Telemetry:
-    """Per-layer GEMM telemetry recorded by sessions and decoders.
+    """Per-site GEMM totals: a read-only view of the engine's ledger.
+
+    The only record of GEMM work is each plan's phase-tagged ``{m:
+    count}`` histogram (:meth:`~repro.engine.GemmPlan.execute`).  This
+    view sums a :func:`~repro.engine.plan_histograms` snapshot into one
+    :class:`GemmStat` per executed site, with ``n``/``k`` and storage
+    bits from :func:`~repro.engine.plan_dims`.  Sessions build it with
+    :meth:`since` against a snapshot taken at their construction, so
+    the view counts only that session's work even though plans are
+    shared per matrix.  FP16-kept linears have no plan and do not
+    appear.
 
     Feeds the cost models: :meth:`gemm_shapes` returns one aggregate
     :class:`~repro.simt.memoryhier.GemmShape` per site, ready for
     ``evaluate(arch, shape)`` / ``analyze(arch, shape)``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, histograms: dict, dims: dict) -> None:
         self.stats: dict[str, GemmStat] = {}
+        for name, snap in histograms.items():
+            calls = sum(snap["rows"].values())
+            if not calls:
+                continue
+            rows = sum(m * count for m, count in snap["rows"].items())
+            site = dims[name]
+            self.stats[name] = GemmStat(
+                name=name,
+                n=site["n"],
+                k=site["k"],
+                calls=calls,
+                rows=rows,
+                macs=rows * site["n"] * site["k"],
+                weight_bytes=calls * site["storage_bits"] / 8,
+                activation_bytes=float(2 * rows * site["k"]),
+            )
 
-    def record(self, name: str, m: int, n: int, k: int, weight_bits: int) -> None:
-        """Account one GEMM execution at site ``name``."""
-        stat = self.stats.get(name)
-        if stat is None:
-            stat = self.stats[name] = GemmStat(name=name, n=n, k=k)
-        stat.calls += 1
-        stat.rows += m
-        stat.macs += m * n * k
-        stat.weight_bytes += weight_bits / 8
-        stat.activation_bytes += 2 * m * k
+    @classmethod
+    def since(cls, plans: dict, baseline: dict) -> "Telemetry":
+        """The work ``plans`` executed after the ``baseline`` snapshot."""
+        now = plan_histograms(plans)
+        return cls(diff_plan_histograms(now, baseline), plan_dims(plans))
 
     @property
     def gemm_calls(self) -> int:
@@ -152,7 +173,7 @@ class Telemetry:
         return sum(s.activation_bytes for s in self.stats.values())
 
     def gemm_shapes(self, pad_to: int = 1) -> list[tuple[str, GemmShape]]:
-        """One aggregate shape per site, in first-recorded order.
+        """One aggregate shape per site, in plan order.
 
         Pass ``pad_to=16`` to hand the shapes straight to the cost
         models (:func:`repro.core.metrics.evaluate`,
@@ -177,41 +198,6 @@ class Telemetry:
             for s in self.stats.values()
         ]
 
-    def snapshot(self) -> dict[str, dict[str, float | int | str]]:
-        """Plain-dict copy of the stats, safe to pickle/JSON-ship.
-
-        Worker processes send this over a pipe; the router folds it
-        back in with :meth:`merge` for fleet-level aggregation.
-        """
-        return {name: dataclasses.asdict(stat) for name, stat in self.stats.items()}
-
-    def merge(self, snapshot: dict[str, dict[str, float | int | str]]) -> None:
-        """Fold a :meth:`snapshot` from another process into this one.
-
-        Sites are matched by name; counters add, ``n``/``k`` must agree
-        (same model, different process — a mismatch means the snapshot
-        came from a different deployment and would corrupt the shape
-        histogram).
-        """
-        for name, data in snapshot.items():
-            stat = self.stats.get(name)
-            if stat is None:
-                self.stats[name] = GemmStat(**data)
-                continue
-            if stat.n != data["n"] or stat.k != data["k"]:
-                raise ValueError(
-                    f"telemetry merge shape mismatch at {name!r}: "
-                    f"n{stat.n}k{stat.k} vs n{data['n']}k{data['k']}"
-                )
-            stat.calls += data["calls"]
-            stat.rows += data["rows"]
-            stat.macs += data["macs"]
-            stat.weight_bytes += data["weight_bytes"]
-            stat.activation_bytes += data["activation_bytes"]
-
-    def reset(self) -> None:
-        self.stats.clear()
-
 
 class MatrixSession:
     """One quantized matrix served behind a precompiled plan.
@@ -222,36 +208,27 @@ class MatrixSession:
     — the fold-upstream deployment applied at runtime).
     """
 
-    def __init__(
-        self,
-        quantized,
-        backend: str = "fast",
-        name: str = "gemm",
-        telemetry: Telemetry | None = None,
-    ) -> None:
+    def __init__(self, quantized, backend: str = "fast", name: str = "gemm") -> None:
         matrix = getattr(quantized, "matrix", quantized)
         scales = getattr(quantized, "channel_scales", None)
         self.name = getattr(quantized, "name", None) or name
         self.backend = backend
         self.plan = plan_gemm(matrix)
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self._weight_bits = matrix.storage_bits()
+        self._ledger_start = plan_histograms({self.name: self.plan})
         self._inv_scales = (
             None if scales is None else 1.0 / np.asarray(scales, dtype=np.float64)
         )
+
+    @property
+    def telemetry(self) -> Telemetry:
+        """GEMM work executed through this session's plan since it was built."""
+        return Telemetry.since({self.name: self.plan}, self._ledger_start)
 
     def __call__(self, activations: np.ndarray) -> np.ndarray:
         """Execute ``activations @ dequant(B)`` through the engine."""
         a = np.asarray(activations)
         if self._inv_scales is not None:
             a = a * self._inv_scales[None, :]
-        self.telemetry.record(
-            self.name,
-            m=a.shape[0],
-            n=self.plan.n_dim,
-            k=self.plan.k_dim,
-            weight_bits=self._weight_bits,
-        )
         return self.plan.execute(a, backend=self.backend)
 
 
@@ -274,8 +251,9 @@ class InferenceSession:
     """A quantized decoder ready to serve: plans, cache, sampling.
 
     Construction precompiles one :class:`~repro.engine.GemmPlan` per
-    quantized layer (via the engine's plan cache), installs a shared
-    :class:`Telemetry` and claims the one slot of a 1-slot KV cache;
+    quantized layer (via the engine's plan cache), snapshots their
+    histograms for the :attr:`telemetry` view and claims the one slot
+    of a 1-slot KV cache;
     :meth:`prefill` starts a sequence in it, :meth:`decode_step`
     extends it at O(1) GEMM cost per token, and :meth:`generate` wraps
     both with greedy or top-k sampling.
@@ -298,12 +276,15 @@ class InferenceSession:
         self.model = model
         self.config = cfg
         self.backend = backend
-        self.telemetry = Telemetry()
-        self.decoder = Decoder(
-            cfg, w, model, backend=backend, telemetry=self.telemetry
-        )
+        self.decoder = Decoder(cfg, w, model, backend=backend)
+        self._ledger_start = plan_histograms(self.decoder.plans)
         self.cache = self.decoder.init_batched_cache(1)
         self._slot = self.cache.allocate()
+
+    @property
+    def telemetry(self) -> Telemetry:
+        """GEMM work this session's plans executed since it was built."""
+        return Telemetry.since(self.decoder.plans, self._ledger_start)
 
     @classmethod
     def from_checkpoint(cls, path, backend: str = "fast") -> "InferenceSession":

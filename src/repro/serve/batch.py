@@ -40,6 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.engine import plan_histograms
 from repro.errors import ConfigError
 from repro.llm.transformer import (
     BatchedKVCache,
@@ -90,12 +91,17 @@ class BatchedSession:
         self.model = model
         self.config = cfg
         self.backend = backend
-        self.telemetry = Telemetry()
         self.prefix_cache = prefix_cache
-        self.decoder = Decoder(cfg, w, model, backend=backend, telemetry=self.telemetry)
+        self.decoder = Decoder(cfg, w, model, backend=backend)
+        self._ledger_start = plan_histograms(self.decoder.plans)
         self.cache: BatchedKVCache = self.decoder.init_batched_cache(
             max_slots, capacity
         )
+
+    @property
+    def telemetry(self) -> Telemetry:
+        """GEMM work this session's plans executed since it was built."""
+        return Telemetry.since(self.decoder.plans, self._ledger_start)
 
     @classmethod
     def from_checkpoint(

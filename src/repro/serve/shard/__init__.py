@@ -2,7 +2,7 @@
 
 :class:`Router` runs N worker processes, each a full model loaded from
 one shared checkpoint directory, with least-outstanding-tokens
-dispatch and fleet-merged telemetry.  It scales aggregate tokens/s
+dispatch and fleet-merged GEMM histograms.  It scales aggregate tokens/s
 with cores (given one BLAS thread per worker); per-request latency is
 unchanged.  It rides :mod:`repro.core.procutil` for process management
 and is wired into ``pacq-repro serve-sim`` via ``--workers N``.

@@ -12,11 +12,13 @@ needs no feedback channel and is deterministic for a given trace.
 
 Every worker talks over its own duplex pipe.  A ``serve()`` call ships
 each rank its request subset in one message; workers run their
-schedulers concurrently and ship back ``(results, stats, telemetry
-snapshot, plan histograms, elapsed)``.  The router re-labels results
-with their global trace indices and merges the telemetry into one
-:class:`FleetReport` — per-worker and fleet-wide occupancy, tokens/s,
-and queue-wait percentiles.
+schedulers concurrently and ship back ``(results, stats, plan
+histograms, plan dims, elapsed)`` — the histograms being the run's
+own executions (a difference against a snapshot taken just before it),
+so repeated ``serve()`` calls on one router never double-count.  The
+router re-labels results with their global trace indices and merges
+everything into one :class:`FleetReport` — per-worker and fleet-wide
+occupancy, tokens/s, queue-wait percentiles and GEMM histograms.
 
 Token streams are unaffected by dispatch: a request's tokens depend
 only on the request itself (prompt, sampling params, seed) and the
@@ -33,9 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.procutil import spawn_worker
-from repro.engine.plan import merge_plan_histograms, plan_histograms
+from repro.engine.plan import (
+    diff_plan_histograms,
+    merge_plan_histograms,
+    plan_dims,
+    plan_histograms,
+)
 from repro.errors import ConfigError
-from repro.model.session import Telemetry
 from repro.serve.scheduler import Request, RequestResult, Scheduler, SchedulerStats
 
 
@@ -90,7 +96,8 @@ def _data_worker_main(
             if op == "run":
                 requests = message[1]
                 try:
-                    session.telemetry.reset()
+                    plans = session.decoder.plans
+                    before = plan_histograms(plans)
                     scheduler = Scheduler(
                         session,
                         max_batch=max_slots,
@@ -102,8 +109,8 @@ def _data_worker_main(
                     payload = (
                         results,
                         scheduler.stats(),
-                        session.telemetry.snapshot(),
-                        plan_histograms(session.decoder.plans),
+                        diff_plan_histograms(plan_histograms(plans), before),
+                        plan_dims(plans),
                         elapsed,
                     )
                 except Exception as exc:
@@ -126,8 +133,8 @@ class WorkerReport:
     assigned: tuple[int, ...]  #: global trace indices, dispatch order
     results: tuple[RequestResult, ...]  #: re-labelled with global indices
     stats: SchedulerStats  #: the worker scheduler's own aggregate view
-    telemetry: dict  #: :meth:`Telemetry.snapshot` from the worker
-    plan_rows: dict  #: :func:`plan_histograms` from the worker's plans
+    plan_rows: dict  #: this run's :func:`plan_histograms` difference
+    plan_dims: dict  #: :func:`plan_dims` of the worker's plans
     elapsed_s: float  #: worker wall time for its scheduler run
 
     @property
@@ -183,15 +190,13 @@ class FleetReport:
         """Fleet-wide queue-wait step percentiles."""
         return queue_wait_percentiles(self.results)
 
-    def merged_telemetry(self) -> Telemetry:
-        """All workers' GEMM telemetry folded into one ``Telemetry``."""
-        merged = Telemetry()
-        for worker in self.workers:
-            merged.merge(worker.telemetry)
-        return merged
+    @property
+    def plan_dims(self) -> dict[str, dict[str, int]]:
+        """Per-site dims (every worker loads the same checkpoint)."""
+        return self.workers[0].plan_dims
 
     def merged_plan_rows(self) -> dict[str, dict]:
-        """All workers' plan histograms folded into one snapshot."""
+        """All workers' plan histograms for this call, folded into one."""
         merged: dict[str, dict] = {}
         for worker in self.workers:
             merge_plan_histograms(merged, worker.plan_rows)
@@ -287,7 +292,7 @@ class Router:
             kind, payload = self._recv(rank, conn)
             if kind != "ok":
                 raise RuntimeError(f"serve worker {rank}: {payload}")
-            results, stats, telemetry, plan_rows, elapsed = payload
+            results, stats, plan_rows, dims, elapsed = payload
             relabelled = []
             for result in results:
                 global_id = assignment[rank][result.request_id]
@@ -301,8 +306,8 @@ class Router:
                     assigned=tuple(assignment[rank]),
                     results=tuple(relabelled),
                     stats=stats,
-                    telemetry=telemetry,
                     plan_rows=plan_rows,
+                    plan_dims=dims,
                     elapsed_s=elapsed,
                 )
             )

@@ -17,12 +17,10 @@ from repro.codesign import (
     SiteCapture,
     WorkloadCapture,
     capture_from_histograms,
-    capture_from_plans,
     load_capture,
     render_codesign_csv,
     render_codesign_section,
     replay_capture,
-    site_dims,
     splice_section,
 )
 from repro.codesign.report import SECTION_BEGIN, SECTION_END
@@ -131,7 +129,10 @@ class TestCapture:
             "empty": {"rows": {}, "phases": {}},
         }
         cap = capture_from_histograms(
-            hists, {"a": (16, 8, 4)}, policy="fleet", served_tokens=4
+            hists,
+            {"a": {"n": 16, "k": 8, "bits": 4, "storage_bits": 704}},
+            policy="fleet",
+            served_tokens=4,
         )
         assert [s.name for s in cap.sites] == ["a"]
         assert cap.sites[0].rows == ((1, 4), (3, 1))
@@ -143,36 +144,6 @@ class TestCapture:
                 {"a": {"rows": {1: 1}, "phases": {}}}, {},
                 policy="fleet", served_tokens=1,
             )
-
-
-class TestTelemetryRoundTrip:
-    def test_snapshot_json_merge_preserves_counts(self):
-        from repro.model.session import Telemetry
-
-        tele = Telemetry()
-        tele.record("site", m=4, n=32, k=64, weight_bits=4 * 32 * 64)
-        tele.record("site", m=1, n=32, k=64, weight_bits=4 * 32 * 64)
-        snap = json.loads(json.dumps(tele.snapshot()))
-        merged = Telemetry()
-        merged.merge(snap)
-        merged.merge(snap)
-        stat = merged.stats["site"]
-        assert stat.calls == 2 * tele.stats["site"].calls
-        assert stat.rows == 2 * tele.stats["site"].rows
-        assert stat.macs == 2 * tele.stats["site"].macs
-        assert stat.weight_bytes == 2 * tele.stats["site"].weight_bytes
-
-    def test_site_dims_recovers_bits(self):
-        from repro.model.session import Telemetry
-
-        tele = Telemetry()
-        # weight_bits is the matrix's total storage bits per call.
-        for bits, name in ((4, "int4"), (16, "fp16")):
-            for m in (1, 1, 5):
-                tele.record(name, m=m, n=32, k=64, weight_bits=bits * 32 * 64)
-        dims = site_dims(tele)
-        assert dims["int4"] == (32, 64, 4)
-        assert dims["fp16"] == (32, 64, 16)
 
 
 class TestReplay:
@@ -341,6 +312,67 @@ class TestServeSimCodesign:
         assert {s.name: s.rows for s in fifo.sites} != {
             s.name: s.rows for s in cached.sites
         }
+
+
+class TestCaptureLedger:
+    """Captures read the one GEMM ledger: served traffic, any topology."""
+
+    @staticmethod
+    def serve(tmp_path, name, *extra):
+        path = tmp_path / f"{name}.json"
+        assert main(
+            ["serve-sim", *SERVE_ARGS, *extra, "--codesign", name,
+             "--json", str(path)]
+        ) == 0
+        return json.loads(path.read_text())
+
+    @staticmethod
+    def phase_rows(site, *phases):
+        return sum(
+            int(m) * count
+            for phase in phases
+            for m, count in site["phases"].get(phase, {}).items()
+        )
+
+    def test_fleet_capture_matches_single_process(self, tmp_path):
+        policy = ("--policy", "rtn4@g[8,4]")
+        solo = self.serve(tmp_path, "solo", *policy, "--workers", "1")
+        fleet = self.serve(tmp_path, "fleet", *policy, "--workers", "2")
+        solo_sites = solo["codesign"]["sites"]
+        fleet_sites = fleet["codesign"]["sites"]
+        assert set(solo_sites) == set(fleet_sites)
+        for name, site in solo_sites.items():
+            other = fleet_sites[name]
+            assert site["weight_bits"] == 4, name
+            for key in ("n", "k", "weight_bits"):
+                assert other[key] == site[key], (name, key)
+            assert sum(int(m) * c for m, c in other["rows"].items()) == sum(
+                int(m) * c for m, c in site["rows"].items()
+            ), name
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            (),
+            ("--prefix-cache-mb", "16", "--prefill-chunk", "8"),
+            ("--draft", "bigram", "--spec-k", "4"),
+        ],
+        ids=["fifo", "prefix-cache-chunked", "bigram-draft"],
+    )
+    def test_rows_conserve_served_tokens(self, tmp_path, extra):
+        record = self.serve(tmp_path, "policy", *extra)
+        stats = record["stats"]
+        sites = record["codesign"]["sites"]
+        assert sites
+        for name, site in sites.items():
+            assert self.phase_rows(site, "prefill") == stats["prefill_tokens"], name
+            assert self.phase_rows(site, "decode", "verify") == (
+                stats["decode_tokens"]
+            ), name
+            # Every execution is phase-tagged: nothing else was counted.
+            assert self.phase_rows(site, "prefill", "decode", "verify") == sum(
+                int(m) * c for m, c in site["rows"].items()
+            ), name
 
 
 class TestCodesignCli:

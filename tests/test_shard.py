@@ -1,11 +1,11 @@
-"""Multi-process data-parallel serving: router, telemetry, procutil.
+"""Multi-process data-parallel serving: router, GEMM histograms, procutil.
 
 Covers the `repro.serve.shard` layer and its supports:
 
 * :mod:`repro.core.procutil` — the shared start-method pick and worker
   spawn used by the harness executor and the router;
-* ``Telemetry.snapshot/merge`` and the plan-histogram snapshot — the
-  serializable telemetry workers ship back to the router;
+* the plan-histogram snapshot, merge and difference — the serializable
+  GEMM ledger workers ship back to the router;
 * :class:`Router` — least-outstanding-tokens dispatch, fleet-merged
   reports, and bit-identical results vs single-process serving;
 * concurrent checkpoint readers — N processes loading the same
@@ -24,7 +24,13 @@ from repro.core.procutil import (
     preferred_start_method,
     spawn_worker,
 )
-from repro.engine import merge_plan_histograms, plan_gemm, plan_histograms
+from repro.engine import (
+    diff_plan_histograms,
+    merge_plan_histograms,
+    plan_dims,
+    plan_gemm,
+    plan_histograms,
+)
 from repro.errors import ConfigError
 from repro.llm.transformer import TransformerConfig, init_weights
 from repro.model import parse_policy, quantize_model
@@ -97,34 +103,6 @@ class TestProcutil:
             assert pool.map(abs, [-1, -2, -3]) == [1, 2, 3]
 
 
-class TestTelemetryMerge:
-    def test_merge_adds_counts_and_copies_new_sites(self):
-        a, b = Telemetry(), Telemetry()
-        a.record("wq", m=2, n=8, k=4, weight_bits=4 * 8 * 4)
-        b.record("wq", m=3, n=8, k=4, weight_bits=4 * 8 * 4)
-        b.record("wo", m=1, n=4, k=8, weight_bits=4 * 4 * 8)
-        a.merge(b.snapshot())
-        assert a.stats["wq"].calls == 2
-        assert a.stats["wq"].rows == 5
-        assert a.stats["wq"].macs == 5 * 8 * 4
-        assert a.stats["wo"].calls == 1
-
-    def test_merge_is_snapshot_round_trippable(self):
-        a = Telemetry()
-        a.record("wq", m=2, n=8, k=4, weight_bits=128)
-        merged = Telemetry()
-        merged.merge(a.snapshot())
-        merged.merge(a.snapshot())
-        assert merged.stats["wq"].rows == 2 * a.stats["wq"].rows
-
-    def test_merge_rejects_shape_mismatch(self):
-        a, b = Telemetry(), Telemetry()
-        a.record("wq", m=1, n=8, k=4, weight_bits=128)
-        b.record("wq", m=1, n=16, k=4, weight_bits=256)
-        with pytest.raises(ValueError):
-            a.merge(b.snapshot())
-
-
 class TestPlanHistograms:
     def test_snapshot_and_merge(self):
         qm = make_matrix(seed=3)
@@ -139,6 +117,20 @@ class TestPlanHistograms:
         merge_plan_histograms(merged, snap)
         assert merged["site"]["rows"] == {2: 4, 5: 2}
         assert merged["site"]["phases"]["prefill"] == {5: 2}
+
+    def test_diff_leaves_the_work_since_a_snapshot(self):
+        qm = make_matrix(seed=4)
+        plan = plan_gemm(qm)
+        plan.execute(np.zeros((3, qm.k_dim)), phase="prefill")
+        before = plan_histograms({"site": plan})
+        plan.execute(np.zeros((1, qm.k_dim)), phase="decode")
+        plan.execute(np.zeros((1, qm.k_dim)))
+        diff = diff_plan_histograms(plan_histograms({"site": plan}), before)
+        assert diff == {"site": {"rows": {1: 2}, "phases": {"decode": {1: 1}}}}
+        unchanged = plan_histograms({"site": plan})
+        assert diff_plan_histograms(unchanged, unchanged) == {
+            "site": {"rows": {}, "phases": {}}
+        }
 
 
 def trace(config, count=6, seed=5):
@@ -194,20 +186,39 @@ class TestRouter:
             fleet = router.serve(list(requests))
         assert len(fleet.workers) == 2
         assert sum(len(w.results) for w in fleet.workers) == len(requests)
-        merged = fleet.merged_telemetry()
         reference = BatchedSession(qmodel, backend="fast", max_slots=4)
         Scheduler(reference, max_batch=4).run(list(requests))
-        assert set(merged.stats) == set(reference.telemetry.stats)
+        merged = Telemetry(fleet.merged_plan_rows(), fleet.plan_dims)
+        expected = reference.telemetry
+        assert set(merged.stats) == set(expected.stats)
         # Identical token work fleet-wide: per-site row totals match the
-        # single-process run exactly.
-        for name, stat in reference.telemetry.stats.items():
+        # single-process run exactly, as do the fixed per-site dims.
+        for name, stat in expected.stats.items():
             assert merged.stats[name].rows == stat.rows, name
-        rows = fleet.merged_plan_rows()
-        assert set(rows) == set(reference.decoder.plans)
+        assert fleet.plan_dims == plan_dims(reference.decoder.plans)
         wait = fleet.queue_wait()
         assert set(wait) == {"p50", "p95"}
         assert fleet.aggregate_tokens_per_s > 0
         assert 0 < fleet.mean_occupancy <= 1
+
+    def test_serve_counts_each_call_once(self, checkpoint, setup):
+        # Plans live for the worker's lifetime; each serve() must report
+        # only its own executions, equal to one process serving that
+        # trace alone.
+        config, _, _ = setup
+        first_trace = trace(config, count=4, seed=7)
+        second_trace = trace(config, count=4, seed=8)
+        with Router(checkpoint, workers=2, backend="fast", max_slots=4) as router:
+            router.serve(list(first_trace))
+            second = router.serve(list(second_trace))
+        # A separately loaded model: its plans start from empty histograms.
+        alone = BatchedSession.from_checkpoint(checkpoint, max_slots=4)
+        Scheduler(alone, max_batch=4).run(list(second_trace))
+        fleet = Telemetry(second.merged_plan_rows(), second.plan_dims)
+        expected = alone.telemetry.stats
+        assert set(fleet.stats) == set(expected)
+        for name, stat in expected.items():
+            assert fleet.stats[name].rows == stat.rows, name
 
     def test_serve_twice_reuses_the_fleet(self, checkpoint, setup):
         config, _, _ = setup
