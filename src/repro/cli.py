@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -412,7 +413,7 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
     return values[0], values[1]
 
 
-def _serve_sim_data(args: argparse.Namespace, qmodel, spec, trace) -> int:
+def _serve_fleet(args: argparse.Namespace, qmodel, trace):
     """``serve-sim --workers N``: route the trace to a data-parallel fleet.
 
     The in-memory quantized model is written to a temporary checkpoint
@@ -442,159 +443,262 @@ def _serve_sim_data(args: argparse.Namespace, qmodel, spec, trace) -> int:
             prefill_chunk=args.prefill_chunk,
             prefix_cache_bytes=args.prefix_cache_mb << 20,
         ) as router:
-            fleet = router.serve(list(trace))
-
-    rows = [
-        [
-            r.request_id,
-            r.prompt_length,
-            r.cached_prefix_tokens,
-            len(r.new_tokens),
-            r.finish_reason,
-            r.queue_wait_steps,
-            f"{r.tokens_per_s:.0f}",
-        ]
-        for r in fleet.results
-    ]
-    print(render_table(
-        f"serve-sim: {len(trace)} requests, max_batch={args.max_batch}, "
-        f"backend={args.backend}, shard=data x{args.workers}",
-        ["req", "prompt", "cached", "new", "finish", "wait steps", "tok/s"],
-        rows,
-    ))
-    worker_rows = []
-    for worker in fleet.workers:
-        wait = worker.queue_wait()
-        worker_rows.append([
-            worker.rank,
-            len(worker.results),
-            worker.new_tokens,
-            f"{worker.tokens_per_s:.0f}",
-            f"{worker.occupancy:.0%}",
-            f"{wait['p50']:.1f}",
-            f"{wait['p95']:.1f}",
-        ])
-    print(render_table(
-        f"fleet: {args.workers} workers, least-outstanding-tokens dispatch",
-        ["rank", "reqs", "new", "tok/s", "occupancy", "wait p50", "wait p95"],
-        worker_rows,
-    ))
-    fleet_wait = fleet.queue_wait()
-    print(
-        f"\nfleet aggregate: {fleet.total_new_tokens} tokens at "
-        f"{fleet.aggregate_tokens_per_s:.0f} tok/s over {args.workers} "
-        f"workers; mean occupancy {fleet.mean_occupancy:.0%}; queue wait "
-        f"p50 {fleet_wait['p50']:.1f} / p95 {fleet_wait['p95']:.1f} steps"
-    )
-    merged_rows = fleet.merged_plan_rows()
-    row_counts = sorted(
-        {int(m) for site in merged_rows.values() for m in site["rows"]}
-    )
-    print(
-        f"engine plans: {len(merged_rows)} sites per worker, executed at "
-        f"batch sizes {row_counts} (fleet-merged histogram)"
-    )
-    if args.json:
-        from repro.codesign import capture_from_histograms
-        from repro.model.session import Telemetry
-
-        telemetry = Telemetry(merged_rows, fleet.plan_dims)
-        codesign_block = None
-        if args.codesign:
-            capture = capture_from_histograms(
-                merged_rows,
-                fleet.plan_dims,
-                policy=args.codesign,
-                served_tokens=fleet.total_new_tokens,
-                prompt_tokens=sum(r.prompt_length for r in fleet.results),
-                requests=fleet.completed,
-            )
-            codesign_block = capture.to_dict()
-            print(
-                f"codesign capture {args.codesign!r}: {capture.gemm_calls} "
-                f"GEMM calls across {len(capture.sites)} sites "
-                f"(fleet-merged histograms)"
-            )
-        record = {
-            "schema": "serve_sim/v5" if codesign_block else "serve_sim/v4",
-            "spec": {
-                "requests": spec.requests,
-                "seed": spec.seed,
-                "prompt_len": list(spec.prompt_len),
-                "max_new": list(spec.max_new),
-                "mean_interarrival": spec.mean_interarrival,
-                "top_k": spec.top_k,
-                "temperature": spec.temperature,
-                "eos_token": spec.eos_token,
-                "shared_prefix_len": spec.shared_prefix_len,
-                "shared_fraction": spec.shared_fraction,
-            },
-            "backend": args.backend,
-            "max_batch": args.max_batch,
-            "prefill_chunk": args.prefill_chunk,
-            "results": [
-                {
-                    "request_id": r.request_id,
-                    "prompt_length": r.prompt_length,
-                    "cached_prefix_tokens": r.cached_prefix_tokens,
-                    "new_tokens": [int(t) for t in r.new_tokens],
-                    "finish_reason": r.finish_reason,
-                    "queue_wait_steps": r.queue_wait_steps,
-                    "tokens_per_s": r.tokens_per_s,
-                }
-                for r in fleet.results
-            ],
-            "stats": {
-                "completed": fleet.completed,
-                "total_new_tokens": fleet.total_new_tokens,
-                "aggregate_tokens_per_s": fleet.aggregate_tokens_per_s,
-                "mean_occupancy": fleet.mean_occupancy,
-                "elapsed_s": fleet.elapsed_s,
-                "queue_wait_p50_steps": fleet_wait["p50"],
-                "queue_wait_p95_steps": fleet_wait["p95"],
-                "gemm_calls": telemetry.gemm_calls,
-                "total_macs": telemetry.total_macs,
-            },
-            "shard": {
-                "mode": "data",
-                "workers": args.workers,
-                "per_worker": [
-                    {
-                        "rank": worker.rank,
-                        "assigned": list(worker.assigned),
-                        "requests": len(worker.results),
-                        "new_tokens": worker.new_tokens,
-                        "tokens_per_s": worker.tokens_per_s,
-                        "occupancy": worker.occupancy,
-                        "queue_wait": worker.queue_wait(),
-                        "elapsed_s": worker.elapsed_s,
-                    }
-                    for worker in fleet.workers
-                ],
-                "plan_rows": merged_rows,
-            },
-        }
-        if codesign_block is not None:
-            record["codesign"] = codesign_block
-        pathlib.Path(args.json).write_text(
-            json.dumps(record, indent=1, sort_keys=True) + "\n"
-        )
-        print(f"wrote {args.json}")
-    return 0
+            return router.serve(list(trace))
 
 
-def _cmd_serve_sim(args: argparse.Namespace) -> int:
+def _serve_in_process(args: argparse.Namespace, qmodel, weights, trace):
+    """``serve-sim --workers 1``: arrival-paced replay in this process.
+
+    Returns ``(fleet, rejected)``: the run as a one-worker
+    :class:`~repro.serve.FleetReport`, so both topologies print and
+    serialize alike, plus the ``(trace index, message)`` rejections.
+    """
     from repro.engine import diff_plan_histograms, plan_dims, plan_histograms
-    from repro.llm.transformer import TransformerConfig, init_weights
     from repro.model import parse_policy, quantize_model
     from repro.serve import (
         BatchedSession,
+        FleetReport,
         RadixPrefixCache,
         Scheduler,
-        TraceSpec,
+        WorkerReport,
         replay,
-        synthesize,
     )
+
+    prefix_cache = (
+        RadixPrefixCache(args.prefix_cache_mb << 20)
+        if args.prefix_cache_mb > 0
+        else None
+    )
+    session = BatchedSession(
+        qmodel,
+        backend=args.backend,
+        max_slots=args.max_batch,
+        capacity=args.capacity,
+        prefix_cache=prefix_cache,
+    )
+    speculate = None
+    if args.draft != "none":
+        from repro.serve import BigramDraft, SessionDraft
+
+        if args.spec_k < 1:
+            raise ConfigError(
+                f"--draft {args.draft} needs --spec-k >= 1, got {args.spec_k}"
+            )
+        if args.draft == "bigram":
+            draft = BigramDraft.distill(session.decoder)
+        elif args.draft.startswith("policy:"):
+            draft_model = quantize_model(
+                weights,
+                parse_policy(args.draft[len("policy:"):]),
+                config=qmodel.config,
+                compute_reports=False,
+            )
+            draft = SessionDraft(
+                draft_model, backend=args.backend, max_slots=args.max_batch
+            )
+        else:
+            raise ConfigError(
+                f"--draft must be none, bigram or policy:<spec>, "
+                f"got {args.draft!r}"
+            )
+        speculate = (draft, args.spec_k)
+    scheduler = Scheduler(
+        session,
+        max_batch=args.max_batch,
+        prefill_chunk=args.prefill_chunk,
+        speculate=speculate,
+    )
+    plans = session.decoder.plans
+    # Snapshot after set-up: draft distillation is not served traffic.
+    before = plan_histograms(plans)
+    report = replay(scheduler, trace, strict=False)
+    stats = scheduler.stats()
+    worker = WorkerReport(
+        rank=0,
+        assigned=tuple(range(len(trace))),
+        results=tuple(report.results),
+        stats=stats,
+        plan_rows=diff_plan_histograms(plan_histograms(plans), before),
+        plan_dims=plan_dims(plans),
+        prefix_cache=prefix_cache.stats() if prefix_cache is not None else None,
+        elapsed_s=stats.elapsed_s,
+    )
+    return FleetReport((worker,), worker.results, stats.elapsed_s), report.rejected
+
+
+def _print_serve_sim(args: argparse.Namespace, fleet, rejected) -> None:
+    """The serve-sim text report, for one worker or N."""
+    stats = fleet.stats
+    wait = fleet.queue_wait()
+    print(render_table(
+        f"serve-sim: {args.requests} requests, max_batch={args.max_batch}, "
+        f"backend={args.backend}, workers={len(fleet.workers)}",
+        ["req", "prompt", "cached", "new", "finish", "wait steps", "tok/s"],
+        [
+            [r.request_id, r.prompt_length, r.cached_prefix_tokens,
+             len(r.new_tokens), r.finish_reason, r.queue_wait_steps,
+             f"{r.tokens_per_s:.0f}"]
+            for r in fleet.results
+        ],
+    ))
+    for index, message in rejected:
+        print(f"rejected request {index}: {message}", file=sys.stderr)
+    print(
+        f"\naggregate: {stats.total_new_tokens} tokens over {stats.steps} steps "
+        f"({stats.decode_steps} decode) at {stats.aggregate_tokens_per_s:.0f} "
+        f"tok/s; mean occupancy {stats.mean_occupancy:.0%}; queue wait mean "
+        f"{stats.mean_queue_wait_steps:.1f} / p50 {wait['p50']:.1f} / "
+        f"p95 {wait['p95']:.1f} steps"
+    )
+    print(
+        f"prompt ingestion: {stats.prefill_tokens} tokens prefilled + "
+        f"{stats.cached_prefix_tokens} from the prefix cache "
+        f"({stats.prefix_hit_rate:.0%} hit rate); {stats.decode_tokens} "
+        f"decoded; peak {stats.max_prefill_tokens_per_step} prefill "
+        f"tokens/step, {stats.prefill_stall_steps} stalled step(s)"
+    )
+    if args.draft != "none":
+        print(
+            f"speculation: draft={args.draft} k={args.spec_k}; "
+            f"{stats.drafted_tokens} drafted, "
+            f"{stats.accepted_draft_tokens} accepted, "
+            f"{stats.wasted_draft_tokens} wasted "
+            f"({stats.draft_acceptance_rate:.0%} acceptance); "
+            f"{stats.accepted_per_verify_step:.2f} draft tokens accepted "
+            f"per verify step over {stats.verify_steps} step(s)"
+        )
+    cache = fleet.prefix_cache
+    if cache is not None:
+        print(render_table(
+            f"prefix cache: {args.prefix_cache_mb} MiB budget per worker",
+            ["metric", "value"],
+            [
+                ["lookups (hit/miss)",
+                 f"{cache.lookups} ({cache.hits}/{cache.misses})"],
+                ["token hit rate", f"{cache.token_hit_rate:.0%}"],
+                ["tokens served from cache", cache.hit_tokens],
+                ["tokens inserted", cache.inserted_tokens],
+                ["evictions (tokens)",
+                 f"{cache.evictions} ({cache.evicted_tokens})"],
+                ["resident", f"{cache.bytes / 2**20:.2f} MiB in "
+                 f"{cache.nodes} node(s)"],
+            ],
+        ))
+    if len(fleet.workers) > 1:
+        print(render_table(
+            f"fleet: {len(fleet.workers)} workers, "
+            "least-outstanding-tokens dispatch",
+            ["rank", "reqs", "new", "tok/s", "occupancy", "wait p50",
+             "wait p95"],
+            [
+                [w.rank, len(w.results), w.new_tokens, f"{w.tokens_per_s:.0f}",
+                 f"{w.occupancy:.0%}",
+                 *(f"{v:.1f}" for v in w.queue_wait().values())]
+                for w in fleet.workers
+            ],
+        ))
+    row_counts = sorted(
+        {int(m) for site in fleet.merged_plan_rows().values()
+         for m in site["rows"]}
+    )
+    print(
+        f"engine plans: {len(fleet.plan_dims)} sites per worker, executed "
+        f"at batch sizes {row_counts} (plan reuse across varying row counts)"
+    )
+
+
+def _serve_sim_record(args: argparse.Namespace, spec, fleet, rejected) -> dict:
+    """The serve-sim ``--json`` record: the same keys for any worker count.
+
+    Blocks a run does not have (prefix cache, speculation, codesign
+    capture) are ``None``.
+    """
+    from repro.codesign import capture_from_histograms
+    from repro.model.session import Telemetry
+
+    stats = fleet.stats
+    wait = fleet.queue_wait()
+    plan_rows = fleet.merged_plan_rows()
+    telemetry = Telemetry(plan_rows, fleet.plan_dims)
+    cache = fleet.prefix_cache
+    codesign = None
+    if args.codesign:
+        capture = capture_from_histograms(
+            plan_rows,
+            fleet.plan_dims,
+            policy=args.codesign,
+            served_tokens=stats.total_new_tokens,
+            prompt_tokens=stats.prefill_tokens + stats.cached_prefix_tokens,
+            requests=stats.completed,
+        )
+        codesign = capture.to_dict()
+        print(
+            f"codesign capture {args.codesign!r}: {capture.gemm_calls} "
+            f"GEMM calls across {len(capture.sites)} sites"
+        )
+    return {
+        "schema": "serve_sim/v6",
+        "spec": dataclasses.asdict(spec),
+        "backend": args.backend,
+        "max_batch": args.max_batch,
+        "prefill_chunk": args.prefill_chunk,
+        "results": [
+            {
+                "request_id": r.request_id,
+                "prompt_length": r.prompt_length,
+                "cached_prefix_tokens": r.cached_prefix_tokens,
+                "new_tokens": [int(t) for t in r.new_tokens],
+                "finish_reason": r.finish_reason,
+                "queue_wait_steps": r.queue_wait_steps,
+                "tokens_per_s": r.tokens_per_s,
+                "drafted_tokens": r.drafted_tokens,
+                "accepted_draft_tokens": r.accepted_draft_tokens,
+                "spec_steps": r.spec_steps,
+            }
+            for r in fleet.results
+        ],
+        "rejected": [
+            {"index": index, "message": message} for index, message in rejected
+        ],
+        "stats": {
+            **dataclasses.asdict(stats),
+            "prefix_hit_rate": stats.prefix_hit_rate,
+            "wasted_draft_tokens": stats.wasted_draft_tokens,
+            "draft_acceptance_rate": stats.draft_acceptance_rate,
+            "accepted_per_verify_step": stats.accepted_per_verify_step,
+            "queue_wait_p50_steps": wait["p50"],
+            "queue_wait_p95_steps": wait["p95"],
+            "gemm_calls": telemetry.gemm_calls,
+            "total_macs": telemetry.total_macs,
+        },
+        "prefix_cache": None if cache is None else {
+            **dataclasses.asdict(cache), "token_hit_rate": cache.token_hit_rate
+        },
+        "speculation": None if args.draft == "none" else {
+            "draft": args.draft, "spec_k": args.spec_k
+        },
+        "workers": [
+            {
+                "rank": worker.rank,
+                "assigned": list(worker.assigned),
+                "requests": len(worker.results),
+                "new_tokens": worker.new_tokens,
+                "tokens_per_s": worker.tokens_per_s,
+                "occupancy": worker.occupancy,
+                "queue_wait": worker.queue_wait(),
+                "elapsed_s": worker.elapsed_s,
+            }
+            for worker in fleet.workers
+        ],
+        "plan_rows": plan_rows,
+        "codesign": codesign,
+    }
+
+
+def _cmd_serve_sim(args: argparse.Namespace) -> int:
+    from repro.llm.transformer import TransformerConfig, init_weights
+    from repro.model import parse_policy, quantize_model
+    from repro.serve import TraceSpec, synthesize
 
     config = TransformerConfig(
         vocab=args.vocab,
@@ -629,223 +733,12 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     if args.workers > 1:
-        return _serve_sim_data(args, qmodel, spec, trace)
-    prefix_cache = (
-        RadixPrefixCache(args.prefix_cache_mb << 20)
-        if args.prefix_cache_mb > 0
-        else None
-    )
-    session = BatchedSession(
-        qmodel,
-        backend=args.backend,
-        max_slots=args.max_batch,
-        capacity=args.capacity,
-        prefix_cache=prefix_cache,
-    )
-    speculate = None
-    if args.draft != "none":
-        from repro.serve import BigramDraft, SessionDraft
-
-        if args.spec_k < 1:
-            raise ConfigError(
-                f"--draft {args.draft} needs --spec-k >= 1, got {args.spec_k}"
-            )
-        if args.draft == "bigram":
-            draft = BigramDraft.distill(session.decoder)
-        elif args.draft.startswith("policy:"):
-            draft_model = quantize_model(
-                weights,
-                parse_policy(args.draft[len("policy:"):]),
-                config=config,
-                compute_reports=False,
-            )
-            draft = SessionDraft(
-                draft_model, backend=args.backend, max_slots=args.max_batch
-            )
-        else:
-            raise ConfigError(
-                f"--draft must be none, bigram or policy:<spec>, "
-                f"got {args.draft!r}"
-            )
-        speculate = (draft, args.spec_k)
-    scheduler = Scheduler(
-        session,
-        max_batch=args.max_batch,
-        prefill_chunk=args.prefill_chunk,
-        speculate=speculate,
-    )
-    plans = session.decoder.plans
-    # Snapshot after set-up: draft distillation is not served traffic.
-    before = plan_histograms(plans)
-    report = replay(scheduler, trace, strict=False)
-    stats = scheduler.stats()
-    served = diff_plan_histograms(plan_histograms(plans), before)
-
-    rows = [
-        [
-            r.request_id,
-            r.prompt_length,
-            r.cached_prefix_tokens,
-            len(r.new_tokens),
-            r.finish_reason,
-            r.queue_wait_steps,
-            f"{r.tokens_per_s:.0f}",
-        ]
-        for r in report.results
-    ]
-    print(render_table(
-        f"serve-sim: {len(trace)} requests, max_batch={args.max_batch}, "
-        f"backend={args.backend}",
-        ["req", "prompt", "cached", "new", "finish", "wait steps", "tok/s"],
-        rows,
-    ))
-    for index, message in report.rejected:
-        print(f"rejected request {index}: {message}", file=sys.stderr)
-    print(
-        f"\naggregate: {stats.total_new_tokens} tokens over {stats.steps} steps "
-        f"({stats.decode_steps} decode) at {stats.aggregate_tokens_per_s:.0f} "
-        f"tok/s; mean occupancy {stats.mean_occupancy:.0%}; "
-        f"mean queue wait {stats.mean_queue_wait_steps:.1f} steps"
-    )
-    print(
-        f"prompt ingestion: {stats.prefill_tokens} tokens prefilled + "
-        f"{stats.cached_prefix_tokens} from the prefix cache "
-        f"({stats.prefix_hit_rate:.0%} hit rate); {stats.decode_tokens} "
-        f"decoded; peak {stats.max_prefill_tokens_per_step} prefill "
-        f"tokens/step, {stats.prefill_stall_steps} stalled step(s)"
-    )
-    if speculate is not None:
-        print(
-            f"speculation: draft={args.draft} k={args.spec_k}; "
-            f"{stats.drafted_tokens} drafted, "
-            f"{stats.accepted_draft_tokens} accepted, "
-            f"{stats.wasted_draft_tokens} wasted "
-            f"({stats.draft_acceptance_rate:.0%} acceptance); "
-            f"{stats.accepted_per_verify_step:.2f} draft tokens accepted "
-            f"per verify step over {stats.verify_steps} step(s)"
-        )
-    if prefix_cache is not None:
-        cache_stats = prefix_cache.stats()
-        print(render_table(
-            f"prefix cache: {args.prefix_cache_mb} MiB budget",
-            ["metric", "value"],
-            [
-                ["lookups (hit/miss)",
-                 f"{cache_stats.lookups} "
-                 f"({cache_stats.hits}/{cache_stats.misses})"],
-                ["token hit rate", f"{cache_stats.token_hit_rate:.0%}"],
-                ["tokens served from cache", cache_stats.hit_tokens],
-                ["tokens inserted", cache_stats.inserted_tokens],
-                ["evictions (tokens)",
-                 f"{cache_stats.evictions} ({cache_stats.evicted_tokens})"],
-                ["resident", f"{cache_stats.bytes / 2**20:.2f} MiB in "
-                 f"{cache_stats.nodes} node(s)"],
-            ],
-        ))
-    row_counts = sorted({m for site in served.values() for m in site["rows"]})
-    print(
-        f"engine plans: {len(plans)} built once, executed at batch sizes "
-        f"{row_counts} (plan reuse across varying row counts)"
-    )
+        fleet, rejected = _serve_fleet(args, qmodel, trace), []
+    else:
+        fleet, rejected = _serve_in_process(args, qmodel, weights, trace)
+    _print_serve_sim(args, fleet, rejected)
     if args.json:
-        record = {
-            "schema": "serve_sim/v5" if args.codesign else "serve_sim/v3",
-            "spec": {
-                "requests": spec.requests,
-                "seed": spec.seed,
-                "prompt_len": list(spec.prompt_len),
-                "max_new": list(spec.max_new),
-                "mean_interarrival": spec.mean_interarrival,
-                "top_k": spec.top_k,
-                "temperature": spec.temperature,
-                "eos_token": spec.eos_token,
-                "shared_prefix_len": spec.shared_prefix_len,
-                "shared_fraction": spec.shared_fraction,
-            },
-            "backend": args.backend,
-            "max_batch": args.max_batch,
-            "prefill_chunk": args.prefill_chunk,
-            "results": [
-                {
-                    "request_id": r.request_id,
-                    "prompt_length": r.prompt_length,
-                    "cached_prefix_tokens": r.cached_prefix_tokens,
-                    "new_tokens": [int(t) for t in r.new_tokens],
-                    "finish_reason": r.finish_reason,
-                    "queue_wait_steps": r.queue_wait_steps,
-                    "tokens_per_s": r.tokens_per_s,
-                    "drafted_tokens": r.drafted_tokens,
-                    "accepted_draft_tokens": r.accepted_draft_tokens,
-                    "spec_steps": r.spec_steps,
-                }
-                for r in report.results
-            ],
-            "rejected": [
-                {"index": index, "message": message}
-                for index, message in report.rejected
-            ],
-            "stats": {
-                "steps": stats.steps,
-                "busy_steps": stats.busy_steps,
-                "decode_steps": stats.decode_steps,
-                "completed": stats.completed,
-                "rejected": stats.rejected,
-                "mean_occupancy": stats.mean_occupancy,
-                "total_new_tokens": stats.total_new_tokens,
-                "aggregate_tokens_per_s": stats.aggregate_tokens_per_s,
-                "mean_queue_wait_steps": stats.mean_queue_wait_steps,
-                "prefill_tokens": stats.prefill_tokens,
-                "cached_prefix_tokens": stats.cached_prefix_tokens,
-                "decode_tokens": stats.decode_tokens,
-                "prefill_steps": stats.prefill_steps,
-                "prefill_stall_steps": stats.prefill_stall_steps,
-                "max_prefill_tokens_per_step": stats.max_prefill_tokens_per_step,
-                "prefix_hit_rate": stats.prefix_hit_rate,
-            },
-        }
-        if speculate is not None:
-            record["speculation"] = {
-                "draft": args.draft,
-                "spec_k": args.spec_k,
-                "drafted_tokens": stats.drafted_tokens,
-                "accepted_draft_tokens": stats.accepted_draft_tokens,
-                "wasted_draft_tokens": stats.wasted_draft_tokens,
-                "draft_acceptance_rate": stats.draft_acceptance_rate,
-                "verify_steps": stats.verify_steps,
-                "accepted_per_verify_step": stats.accepted_per_verify_step,
-            }
-        if prefix_cache is not None:
-            cache_stats = prefix_cache.stats()
-            record["prefix_cache"] = {
-                "max_bytes": cache_stats.max_bytes,
-                "lookups": cache_stats.lookups,
-                "hits": cache_stats.hits,
-                "misses": cache_stats.misses,
-                "lookup_tokens": cache_stats.lookup_tokens,
-                "hit_tokens": cache_stats.hit_tokens,
-                "token_hit_rate": cache_stats.token_hit_rate,
-                "inserted_tokens": cache_stats.inserted_tokens,
-                "evictions": cache_stats.evictions,
-                "evicted_tokens": cache_stats.evicted_tokens,
-                "bytes": cache_stats.bytes,
-                "nodes": cache_stats.nodes,
-            }
-        if args.codesign:
-            from repro.codesign import capture_from_histograms
-
-            capture = capture_from_histograms(
-                served,
-                plan_dims(plans),
-                policy=args.codesign,
-                served_tokens=stats.total_new_tokens,
-                prompt_tokens=stats.prefill_tokens + stats.cached_prefix_tokens,
-                requests=stats.completed,
-            )
-            record["codesign"] = capture.to_dict()
-            print(
-                f"codesign capture {args.codesign!r}: {capture.gemm_calls} "
-                f"GEMM calls across {len(capture.sites)} sites"
-            )
+        record = _serve_sim_record(args, spec, fleet, rejected)
         pathlib.Path(args.json).write_text(
             json.dumps(record, indent=1, sort_keys=True) + "\n"
         )
@@ -1270,8 +1163,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "'python -m repro codesign'")
     serve_p.add_argument("--json", default=None, metavar="OUT",
                          help="write a machine-readable replay record "
-                         "(schema serve_sim/v3; v4 when --workers > 1; "
-                         "v5 with --codesign)")
+                         "(schema v6: the same keys for any --workers)")
     serve_p.set_defaults(func=_cmd_serve_sim)
 
     codesign_p = sub.add_parser(
@@ -1280,9 +1172,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "models across an architecture grid",
     )
     codesign_p.add_argument("captures", nargs="+", metavar="CAPTURE",
-                            help="capture files: serve_sim/v5 records "
-                            "(from serve-sim --codesign --json) or bare "
-                            "codesign_capture/v1 JSON")
+                            help="capture files: serve_sim records with a "
+                            "codesign block (from serve-sim --codesign "
+                            "--json; v5 and v6) or bare codesign_capture/v1 "
+                            "JSON")
     codesign_p.add_argument("--grid", action="append", metavar="K=V1,V2",
                             help="architecture sweep axis (repeatable): "
                             "num_sms, dram_beats, adder_tree_dup, dp_width")

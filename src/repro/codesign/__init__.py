@@ -18,8 +18,8 @@ Layers:
 
 * :mod:`repro.codesign.capture` — :class:`WorkloadCapture`, the
   replayable phase-tagged shape histogram plus policy metadata
-  (``codesign_capture/v1`` JSON; stamped into ``serve_sim/v5`` records
-  by ``serve-sim --codesign``).
+  (``codesign_capture/v1`` JSON; stamped into the ``codesign`` block of
+  ``serve_sim/v6`` records by ``serve-sim --codesign``).
 * :mod:`repro.codesign.replay` — :func:`replay_capture` prices every
   ``(site, phase, m, count)`` bucket on an :class:`ArchPoint` and
   aggregates per-phase / total costs.

@@ -29,7 +29,7 @@ from typing import Any, Mapping
 from repro.errors import ConfigError
 
 #: Schema tag of a bare capture file (also embedded as the
-#: ``codesign`` block of a ``serve_sim/v5`` record).
+#: ``codesign`` block of a ``serve_sim/v6`` record).
 CAPTURE_SCHEMA = "codesign_capture/v1"
 
 Histogram = tuple[tuple[int, int], ...]
@@ -260,9 +260,10 @@ def load_capture(path: str | pathlib.Path) -> WorkloadCapture:
     """Load a capture from a JSON file.
 
     Accepts either a bare ``codesign_capture/v1`` file or a
-    ``serve_sim/v5`` record (the ``codesign`` block stamped by
-    ``serve-sim --codesign``).  Older ``serve_sim`` schemas are
-    rejected with a pointer at the flag that adds the block.
+    ``serve_sim`` record (``v6``, or ``v5`` from older checkouts) with
+    the ``codesign`` block stamped by ``serve-sim --codesign``.  A
+    record without that block (older schemas, or a run without the
+    flag) is rejected with a pointer at the flag that adds it.
     """
     path = pathlib.Path(path)
     try:

@@ -5,7 +5,7 @@ one runner:
 
 * **Capture replay** (``capture=<path>``) — what ``python -m repro
   codesign`` schedules: load a ``codesign_capture/v1`` file (or a
-  ``serve_sim/v5`` record) and price it at one
+  ``serve_sim`` record with a ``codesign`` block) and price it at one
   :class:`~repro.codesign.replay.ArchPoint`.  The ``digest`` parameter
   carries a content hash of the capture file purely to key the result
   cache — :class:`~repro.harness.ResultCache` hashes job parameters,

@@ -38,11 +38,12 @@ backend mixes are safe; BLAS-backed ``reference`` is not).
 
 Telemetry (:meth:`stats`) counts hits/misses at both request and
 token granularity plus evictions and resident bytes, and feeds the
-scheduler's ``serve_sim/v2`` record.
+``prefix_cache`` block of the ``serve_sim/v6`` record.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,6 +94,16 @@ class PrefixCacheStats:
     def token_hit_rate(self) -> float:
         """Fraction of looked-up prompt tokens served from the cache."""
         return self.hit_tokens / self.lookup_tokens if self.lookup_tokens else 0.0
+
+    def since(self, before: "PrefixCacheStats") -> "PrefixCacheStats":
+        """The counters accumulated after ``before``; gauges stay current."""
+        gauges = ("bytes", "max_bytes", "nodes")
+        counters = {
+            f.name: getattr(self, f.name) - getattr(before, f.name)
+            for f in dataclasses.fields(self)
+            if f.name not in gauges
+        }
+        return dataclasses.replace(self, **counters)
 
 
 class RadixPrefixCache:

@@ -13,12 +13,15 @@ needs no feedback channel and is deterministic for a given trace.
 Every worker talks over its own duplex pipe.  A ``serve()`` call ships
 each rank its request subset in one message; workers run their
 schedulers concurrently and ship back ``(results, stats, plan
-histograms, plan dims, elapsed)`` — the histograms being the run's
-own executions (a difference against a snapshot taken just before it),
-so repeated ``serve()`` calls on one router never double-count.  The
-router re-labels results with their global trace indices and merges
-everything into one :class:`FleetReport` — per-worker and fleet-wide
-occupancy, tokens/s, queue-wait percentiles and GEMM histograms.
+histograms, plan dims, prefix-cache counters, elapsed)`` — the
+histograms and cache counters being the run's own (a difference
+against a snapshot taken just before it), so repeated ``serve()``
+calls on one router never double-count.  The router re-labels results
+with their global trace indices and merges everything into one
+:class:`FleetReport` — fleet-wide :class:`SchedulerStats`, prefix-cache
+counters, queue-wait percentiles and GEMM histograms, plus the
+per-worker reports.  A one-worker in-process run is the same report
+with a single :class:`WorkerReport`.
 
 Token streams are unaffected by dispatch: a request's tokens depend
 only on the request itself (prompt, sampling params, seed) and the
@@ -42,6 +45,7 @@ from repro.engine.plan import (
     plan_histograms,
 )
 from repro.errors import ConfigError
+from repro.serve.prefix import PrefixCacheStats
 from repro.serve.scheduler import Request, RequestResult, Scheduler, SchedulerStats
 
 
@@ -98,6 +102,7 @@ def _data_worker_main(
                 try:
                     plans = session.decoder.plans
                     before = plan_histograms(plans)
+                    cache_before = cache.stats() if cache is not None else None
                     scheduler = Scheduler(
                         session,
                         max_batch=max_slots,
@@ -111,6 +116,11 @@ def _data_worker_main(
                         scheduler.stats(),
                         diff_plan_histograms(plan_histograms(plans), before),
                         plan_dims(plans),
+                        (
+                            cache.stats().since(cache_before)
+                            if cache is not None
+                            else None
+                        ),
                         elapsed,
                     )
                 except Exception as exc:
@@ -135,6 +145,7 @@ class WorkerReport:
     stats: SchedulerStats  #: the worker scheduler's own aggregate view
     plan_rows: dict  #: this run's :func:`plan_histograms` difference
     plan_dims: dict  #: :func:`plan_dims` of the worker's plans
+    prefix_cache: PrefixCacheStats | None  #: this run's cache counters
     elapsed_s: float  #: worker wall time for its scheduler run
 
     @property
@@ -163,28 +174,52 @@ class FleetReport:
     elapsed_s: float  #: router wall time (dispatch to last worker done)
 
     @property
-    def completed(self) -> int:
-        return len(self.results)
+    def stats(self) -> SchedulerStats:
+        """Fleet-wide scheduler stats.
 
-    @property
-    def total_new_tokens(self) -> int:
-        return sum(len(r.new_tokens) for r in self.results)
-
-    @property
-    def aggregate_tokens_per_s(self) -> float:
-        """Fleet throughput: all generated tokens over router wall time."""
-        return self.total_new_tokens / self.elapsed_s if self.elapsed_s else 0.0
-
-    @property
-    def mean_occupancy(self) -> float:
-        """Busy-step-weighted mean slot occupancy across workers."""
-        busy = sum(w.stats.busy_steps for w in self.workers)
-        if not busy:
-            return 0.0
-        weighted = sum(
-            w.stats.mean_occupancy * w.stats.busy_steps for w in self.workers
+        Counters sum over workers (``max_batch`` becomes the fleet's
+        slot count), occupancy is busy-step weighted, the prefill peak is
+        the largest worker's, queue waits average over every request and
+        throughput is over router wall time.
+        """
+        per_worker = [w.stats for w in self.workers]
+        summed = {
+            f.name: sum(getattr(s, f.name) for s in per_worker)
+            for f in dataclasses.fields(SchedulerStats)
+        }
+        busy = summed["busy_steps"]
+        occupancy = sum(s.mean_occupancy * s.busy_steps for s in per_worker)
+        done = len(self.results)
+        elapsed = self.elapsed_s
+        summed.update(
+            mean_occupancy=occupancy / busy if busy else 0.0,
+            max_prefill_tokens_per_step=max(
+                s.max_prefill_tokens_per_step for s in per_worker
+            ),
+            elapsed_s=elapsed,
+            aggregate_tokens_per_s=(
+                summed["total_new_tokens"] / elapsed if elapsed else 0.0
+            ),
+            mean_queue_wait_steps=(
+                sum(r.queue_wait_steps for r in self.results) / done if done else 0.0
+            ),
+            mean_queue_wait_s=(
+                sum(r.queue_wait_s for r in self.results) / done if done else 0.0
+            ),
         )
-        return weighted / busy
+        return SchedulerStats(**summed)
+
+    @property
+    def prefix_cache(self) -> PrefixCacheStats | None:
+        """The workers' cache counters summed (``None`` without a cache)."""
+        caches = [w.prefix_cache for w in self.workers if w.prefix_cache is not None]
+        if not caches:
+            return None
+        summed = {
+            f.name: sum(getattr(c, f.name) for c in caches)
+            for f in dataclasses.fields(PrefixCacheStats)
+        }
+        return PrefixCacheStats(**summed)
 
     def queue_wait(self) -> dict[str, float]:
         """Fleet-wide queue-wait step percentiles."""
@@ -292,7 +327,7 @@ class Router:
             kind, payload = self._recv(rank, conn)
             if kind != "ok":
                 raise RuntimeError(f"serve worker {rank}: {payload}")
-            results, stats, plan_rows, dims, elapsed = payload
+            results, stats, plan_rows, dims, cache_stats, elapsed = payload
             relabelled = []
             for result in results:
                 global_id = assignment[rank][result.request_id]
@@ -308,6 +343,7 @@ class Router:
                     stats=stats,
                     plan_rows=plan_rows,
                     plan_dims=dims,
+                    prefix_cache=cache_stats,
                     elapsed_s=elapsed,
                 )
             )

@@ -273,12 +273,18 @@ class TestLoadCapture:
         bare = tmp_path / "bare.json"
         bare.write_text(json.dumps(cap.to_dict()))
         assert load_capture(bare) == cap
+        # Records written before the v6 schema keep replaying.
+        v5 = tmp_path / "v5.json"
+        v5.write_text(json.dumps(
+            {"schema": "serve_sim/v5", "stats": {}, "codesign": cap.to_dict()}
+        ))
+        assert load_capture(v5) == cap
 
 
 class TestServeSimCodesign:
-    def test_v5_schema_and_block(self, capture_dir):
+    def test_v6_schema_and_block(self, capture_dir):
         record = json.loads((capture_dir / "fifo.json").read_text())
-        assert record["schema"] == "serve_sim/v5"
+        assert record["schema"] == "serve_sim/v6"
         block = record["codesign"]
         assert block["schema"] == "codesign_capture/v1"
         assert block["policy"] == "fifo"
@@ -356,8 +362,16 @@ class TestCaptureLedger:
             (),
             ("--prefix-cache-mb", "16", "--prefill-chunk", "8"),
             ("--draft", "bigram", "--spec-k", "4"),
+            ("--workers", "2"),
+            ("--workers", "2", "--prefix-cache-mb", "16", "--prefill-chunk", "8"),
         ],
-        ids=["fifo", "prefix-cache-chunked", "bigram-draft"],
+        ids=[
+            "fifo",
+            "prefix-cache-chunked",
+            "bigram-draft",
+            "fleet",
+            "fleet-prefix-cache-chunked",
+        ],
     )
     def test_rows_conserve_served_tokens(self, tmp_path, extra):
         record = self.serve(tmp_path, "policy", *extra)
@@ -373,6 +387,39 @@ class TestCaptureLedger:
             assert self.phase_rows(site, "prefill", "decode", "verify") == sum(
                 int(m) * c for m, c in site["rows"].items()
             ), name
+
+
+class TestServeSimRecord:
+    """One serializer: every worker count writes the same record shape."""
+
+    def test_one_record_shape_for_any_worker_count(self, tmp_path):
+        records = {}
+        for workers in ("1", "2"):
+            path = tmp_path / f"w{workers}.json"
+            assert main(
+                ["serve-sim", *SERVE_ARGS, "--prefix-cache-mb", "16",
+                 "--workers", workers, "--json", str(path)]
+            ) == 0
+            records[workers] = json.loads(path.read_text())
+        solo, fleet = records["1"], records["2"]
+        assert set(solo) == set(fleet)
+        for block in ("stats", "prefix_cache"):
+            assert set(solo[block]) == set(fleet[block]), block
+        for block in ("results", "workers"):
+            keys = {frozenset(row) for row in solo[block] + fleet[block]}
+            assert len(keys) == 1, block
+        assert [r["new_tokens"] for r in solo["results"]] == [
+            r["new_tokens"] for r in fleet["results"]
+        ]
+        for key in ("completed", "total_new_tokens"):
+            assert solo["stats"][key] == fleet["stats"][key], key
+        prompt = [
+            r["stats"]["prefill_tokens"] + r["stats"]["cached_prefix_tokens"]
+            for r in (solo, fleet)
+        ]
+        assert prompt[0] == prompt[1] == sum(
+            r["prompt_length"] for r in solo["results"]
+        )
 
 
 class TestCodesignCli:

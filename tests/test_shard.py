@@ -173,7 +173,7 @@ class TestRouter:
         ).run(list(requests))
         with Router(checkpoint, workers=2, backend="fast", max_slots=4) as router:
             fleet = router.serve(list(requests))
-        assert fleet.completed == len(requests)
+        assert fleet.stats.completed == len(requests)
         for expect, got in zip(single, fleet.results, strict=False):
             assert expect.request_id == got.request_id
             assert np.array_equal(expect.tokens, got.tokens)
@@ -198,8 +198,8 @@ class TestRouter:
         assert fleet.plan_dims == plan_dims(reference.decoder.plans)
         wait = fleet.queue_wait()
         assert set(wait) == {"p50", "p95"}
-        assert fleet.aggregate_tokens_per_s > 0
-        assert 0 < fleet.mean_occupancy <= 1
+        assert fleet.stats.aggregate_tokens_per_s > 0
+        assert 0 < fleet.stats.mean_occupancy <= 1
 
     def test_serve_counts_each_call_once(self, checkpoint, setup):
         # Plans live for the worker's lifetime; each serve() must report
@@ -219,6 +219,24 @@ class TestRouter:
         assert set(fleet.stats) == set(expected)
         for name, stat in expected.items():
             assert fleet.stats[name].rows == stat.rows, name
+
+    def test_prefix_cache_counts_each_call_once(self, checkpoint, setup):
+        # The radix cache outlives a serve() call; each report must carry
+        # only that call's lookups, one per request.
+        config, _, _ = setup
+        first_trace = trace(config, count=4, seed=7)
+        second_trace = trace(config, count=5, seed=8)
+        with Router(
+            checkpoint, workers=2, max_slots=4, prefix_cache_bytes=1 << 24
+        ) as router:
+            first = router.serve(list(first_trace))
+            second = router.serve(list(second_trace))
+        assert first.prefix_cache.lookups == len(first_trace)
+        assert second.prefix_cache.lookups == len(second_trace)
+        assert second.prefix_cache.max_bytes == 2 << 24
+        assert sum(w.prefix_cache.lookups for w in second.workers) == len(
+            second_trace
+        )
 
     def test_serve_twice_reuses_the_fleet(self, checkpoint, setup):
         config, _, _ = setup
