@@ -1,10 +1,23 @@
-"""Legacy shim: lets ``pip install -e .`` / ``setup.py develop`` work offline.
+"""Package metadata; lets ``pip install -e .`` / ``setup.py develop`` work offline.
 
-The environment has no network and no ``wheel`` package, so PEP 660
-editable installs fail; ``setup.py develop`` with metadata read from
-``pyproject.toml`` works everywhere.
+There is no ``pyproject.toml``: the metadata lives here.  The version is
+read from ``src/repro/__init__.py`` as text, so building the package
+does not import it (and does not need numpy installed first).
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"', _INIT.read_text(), re.M).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+)

@@ -14,8 +14,8 @@ Chunked prefill
 
 Without a bound, admitting a long prompt runs its whole prefill inside
 one step, freezing every resident sequence for the duration
-(``BENCH_session.json``: ~5 s to prefill 256 tokens vs ~24 ms per
-decode token).  ``prefill_chunk`` caps the total prompt tokens
+(seconds to prefill a few hundred tokens vs tens of ms per decode
+token).  ``prefill_chunk`` caps the total prompt tokens
 ingested per step: admission becomes allocate-and-seed (prefix-cache
 copy, no GEMMs), and each step ingests at most ``prefill_chunk``
 prompt tokens across the partially ingested residents *before* the
@@ -145,7 +145,7 @@ class SchedulerStats:
 
     steps: int  #: scheduler iterations, including idle ticks
     busy_steps: int  #: iterations that admitted, sampled or decoded
-    decode_steps: int  #: iterations that issued a batched decode GEMM pass
+    decode_steps: int  #: iterations that issued a batched decode or verify GEMM pass
     completed: int  #: requests finished
     rejected: int  #: requests refused at submit()
     max_batch: int  #: admission ceiling
@@ -157,7 +157,7 @@ class SchedulerStats:
     mean_queue_wait_s: float
     prefill_tokens: int = 0  #: prompt tokens ingested through prefill GEMMs
     cached_prefix_tokens: int = 0  #: prompt tokens copied from the prefix cache
-    decode_tokens: int = 0  #: token rows decoded through batched decode GEMMs
+    decode_tokens: int = 0  #: token rows through batched decode or verify GEMMs
     prefill_steps: int = 0  #: iterations that issued a prefill GEMM pass
     prefill_stall_steps: int = 0  #: iterations that hit the chunk budget
     #: with prompt tokens still pending

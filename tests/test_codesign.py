@@ -340,6 +340,14 @@ class TestCaptureLedger:
             for m, count in site["phases"].get(phase, {}).items()
         )
 
+    @staticmethod
+    def phase_calls(site, *phases):
+        return sum(
+            count
+            for phase in phases
+            for count in site["phases"].get(phase, {}).values()
+        )
+
     def test_fleet_capture_matches_single_process(self, tmp_path):
         policy = ("--policy", "rtn4@g[8,4]")
         solo = self.serve(tmp_path, "solo", *policy, "--workers", "1")
@@ -357,13 +365,19 @@ class TestCaptureLedger:
             ), name
 
     @pytest.mark.parametrize(
-        "extra",
+        ("extra", "counters"),
         [
-            (),
-            ("--prefix-cache-mb", "16", "--prefill-chunk", "8"),
-            ("--draft", "bigram", "--spec-k", "4"),
-            ("--workers", "2"),
-            ("--workers", "2", "--prefix-cache-mb", "16", "--prefill-chunk", "8"),
+            ((), {}),
+            (
+                ("--prefix-cache-mb", "16", "--prefill-chunk", "8"),
+                {"prefill_tokens": 21, "cached_prefix_tokens": 36},
+            ),
+            (
+                ("--draft", "bigram", "--spec-k", "4"),
+                {"verify_steps": 2, "drafted_tokens": 12, "accepted_draft_tokens": 12},
+            ),
+            (("--workers", "2"), {}),
+            (("--workers", "2", "--prefix-cache-mb", "16", "--prefill-chunk", "8"), {}),
         ],
         ids=[
             "fifo",
@@ -373,7 +387,7 @@ class TestCaptureLedger:
             "fleet-prefix-cache-chunked",
         ],
     )
-    def test_rows_conserve_served_tokens(self, tmp_path, extra):
+    def test_rows_conserve_served_tokens(self, tmp_path, extra, counters):
         record = self.serve(tmp_path, "policy", *extra)
         stats = record["stats"]
         sites = record["codesign"]["sites"]
@@ -387,6 +401,16 @@ class TestCaptureLedger:
             assert self.phase_rows(site, "prefill", "decode", "verify") == sum(
                 int(m) * c for m, c in site["rows"].items()
             ), name
+            # One GEMM per site per pass: a batch that falls apart into
+            # per-sequence GEMMs keeps the rows but multiplies the calls.
+            assert self.phase_calls(site, "prefill") == stats["prefill_steps"], name
+            assert self.phase_calls(site, "verify") == stats["verify_steps"], name
+            assert self.phase_calls(site, "decode", "verify") == (
+                stats["decode_steps"]
+            ), name
+        # The fixed trace pins what the prefix cache skips and what the
+        # draft gets accepted.
+        assert {key: stats[key] for key in counters} == counters
 
 
 class TestServeSimRecord:

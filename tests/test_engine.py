@@ -333,6 +333,37 @@ class TestSaturationAcrossBackends:
             assert np.array_equal(fast[mask], other[mask])
 
 
+class TestFastPath:
+    """Serving-shaped calls stay on each backend's fast path.
+
+    The shapes are the benchmark model's weight sites (``d_model`` 256,
+    ``d_ffn`` 1024, ``int4@g[32,4]``) at decode, small-batch and
+    prefill row counts.  The slow paths are patched to raise, so a
+    backend that quietly falls back fails here instead of only running
+    slower.
+    """
+
+    def test_no_fallback_and_plan_state_reused(self, monkeypatch):
+        from repro.engine import backends
+
+        def slow_path(*args, **kwargs):
+            raise AssertionError("fell off the fast path")
+
+        monkeypatch.setattr(backends, "execute_fast", slow_path)
+        monkeypatch.setattr(backends, "parallel_fp_int_mul", slow_path)
+        rng = np.random.default_rng(0)
+        for k, n in ((256, 1024), (1024, 256)):
+            qm = quantize_rtn(rng.normal(size=(k, n)), bits=4, group=GroupSpec(32, 4))
+            plan = GemmPlan(qm)  # uncached: inspect this plan's lazy state
+            for m in (1, 6, 48):
+                plan.execute(rng.normal(size=(m, k)), backend="batched")
+            onehot = plan._onehot
+            assert onehot is not None
+            plan.execute(rng.normal(size=(2, k)), backend="bitexact")
+            plan.execute(rng.normal(size=(1, k)), backend="batched")
+            assert plan._onehot is onehot  # built once, not per call
+
+
 class TestDecoderIntegration:
     def test_decoder_caches_one_plan_per_matrix(self):
         from repro.llm.transformer import (
