@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from repro.errors import ConfigError
 
@@ -234,10 +234,3 @@ def list_rules() -> list[Rule]:
 def rule_ids() -> list[str]:
     """Sorted registered rule ids."""
     return sorted(_REGISTRY)
-
-
-def checkable_rules() -> Iterator[Rule]:
-    """Registered rules that carry a checker (non-virtual)."""
-    for rule in list_rules():
-        if rule.check is not None:
-            yield rule

@@ -82,7 +82,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine import plan_gemm
-from repro.quant.packing import PackDim, PackSpec, pack, unpack
+from repro.quant.packing import PackDim, PackSpec, pack
 from repro.quant.rtn import QuantizedMatrix
 
 
@@ -140,8 +140,3 @@ def pack_for_flow(qm: QuantizedMatrix, along_n: bool = True):
     """
     spec = PackSpec(qm.bits, PackDim.N if along_n else PackDim.K)
     return pack(qm.signed_codes(), spec)
-
-
-def unpack_roundtrip(qm: QuantizedMatrix, along_n: bool = True) -> np.ndarray:
-    """Pack + unpack the codes (identity; exists for end-to-end tests)."""
-    return unpack(pack_for_flow(qm, along_n))

@@ -65,13 +65,6 @@ class UnitCost:
             raise ConfigError(f"unit {self.name} has zero energy")
         return self.reused_energy / total
 
-    def category_energy(self, category: str, reused: bool | None = None) -> float:
-        return sum(
-            c.energy
-            for c in self.components
-            if c.category == category and (reused is None or c.reused == reused)
-        )
-
     def scaled(self, name: str, factor: float) -> "UnitCost":
         """A copy with every component energy scaled by ``factor``."""
         return UnitCost(

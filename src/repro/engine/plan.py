@@ -221,11 +221,6 @@ class GemmPlan:
             self.phase_executions[key] = self.phase_executions.get(key, 0) + 1
         return get_backend(backend).execute(a, self)
 
-    @property
-    def execute_count(self) -> int:
-        """Total executions of this plan (any row count)."""
-        return sum(self.executions.values())
-
     def row_stats(self, phase: str | None = None) -> dict[int, int]:
         """``{m: executions}`` histogram over activation row counts.
 

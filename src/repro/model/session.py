@@ -168,10 +168,6 @@ class Telemetry:
     def total_weight_bytes(self) -> float:
         return sum(s.weight_bytes for s in self.stats.values())
 
-    @property
-    def total_activation_bytes(self) -> float:
-        return sum(s.activation_bytes for s in self.stats.values())
-
     def gemm_shapes(self, pad_to: int = 1) -> list[tuple[str, GemmShape]]:
         """One aggregate shape per site, in plan order.
 

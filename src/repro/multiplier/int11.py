@@ -101,35 +101,3 @@ def parallel_int11_mul(a: int, b_values: list[int], b_bits: int) -> list[int]:
         assert total == a * b
         results.append(total)
     return results
-
-
-@dataclass(frozen=True)
-class ArrayActivity:
-    """Switching-activity proxy for one multiply through an array.
-
-    ``and_plane_bits`` counts AND gates evaluated, ``adder_bits``
-    counts full-adder bit positions exercised — the dynamic-energy
-    proxies used by :mod:`repro.energy`.
-    """
-
-    and_plane_bits: int
-    adder_bits: int
-
-
-def baseline_activity() -> ArrayActivity:
-    """Per-op activity of the baseline 11x11 array."""
-    return ArrayActivity(
-        and_plane_bits=SIGNIFICAND_BITS * SIGNIFICAND_BITS,
-        adder_bits=BASELINE_INT11_INVENTORY.total_full_adder_bits(),
-    )
-
-
-def parallel_activity(b_bits: int) -> ArrayActivity:
-    """Per-op activity of the parallel array producing all lanes at once."""
-    if b_bits not in (2, 4):
-        raise EncodingError(f"unsupported lane width: {b_bits}")
-    num_lanes = 16 // b_bits
-    return ArrayActivity(
-        and_plane_bits=SIGNIFICAND_BITS * b_bits * num_lanes,
-        adder_bits=PARALLEL_INT11_INVENTORY.total_full_adder_bits(),
-    )

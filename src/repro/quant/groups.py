@@ -16,7 +16,6 @@ Weight matrices here follow the paper's convention: ``B`` has shape
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import QuantizationError
 
@@ -63,16 +62,6 @@ class GroupSpec:
         """Number of groups along each dimension for a ``[k, n]`` matrix."""
         self.validate_for(k_dim, n_dim)
         return k_dim // self.k, n_dim // self.n
-
-    def iter_groups(self, k_dim: int, n_dim: int) -> Iterator[tuple[slice, slice]]:
-        """Yield ``(k_slice, n_slice)`` index pairs, row-major over groups."""
-        gk, gn = self.grid_shape(k_dim, n_dim)
-        for i in range(gk):
-            for j in range(gn):
-                yield (
-                    slice(i * self.k, (i + 1) * self.k),
-                    slice(j * self.n, (j + 1) * self.n),
-                )
 
     def scale_fetches_per_packed_word(self, pack_n: int) -> int:
         """Scales the general core must fetch per ``n``-packed word.

@@ -34,7 +34,7 @@ Loop nests
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.simt.buffers import OperandBuffer
@@ -63,9 +63,13 @@ class OctetArch:
 DEFAULT_OCTET_ARCH = OctetArch()
 
 
-@dataclass
+@dataclass(frozen=True)
 class OctetTrace:
-    """Measured register-file / instruction activity of one octet GEMM."""
+    """Measured register-file / instruction activity of one octet GEMM.
+
+    Frozen because :mod:`repro.simt.sm` memoizes one trace per
+    ``(flow, mma, octet)`` and shares it across every GEMM shape.
+    """
 
     a_reads: int = 0
     b_reads: int = 0
@@ -75,7 +79,7 @@ class OctetTrace:
     evictions: int = 0
     products: int = 0
     outputs: int = 0
-    tile_issues: list[tuple[int, int]] = field(default_factory=list)
+    tile_issues: tuple[tuple[int, int], ...] = ()
     #: each entry: (outputs_in_tile, k_span_of_tile) for the cycle model
 
     @property
@@ -110,49 +114,54 @@ def _trace_weight_stationary(
 ) -> OctetTrace:
     """Fig. 3(c): WS tile movement, OS tile computation, FP16 operands."""
     del pack  # weights are FP16 beats after dequantization
-    trace = OctetTrace()
     a_buf = OperandBuffer("A", arch.a_buffer_beats)
     b_buf = OperandBuffer("B", arch.b_buffer_beats)
+    a_reads = b_reads = c_reads = c_writes = fetches = products = 0
+    tile_issues: list[tuple[int, int]] = []
 
     for kt in range(work.k // TILE):
         for nt in range(work.n // TILE):
-            trace.fetch_instructions += 1  # B tile fetch
+            fetches += 1  # B tile fetch
             for kk in range(TILE):
                 for nn in range(TILE):
                     if not b_buf.access(("B", kt * TILE + kk, nt * TILE + nn)):
-                        trace.b_reads += 1
+                        b_reads += 1
             for mt in range(work.m // TILE):
-                trace.fetch_instructions += 1  # A tile fetch
+                fetches += 1  # A tile fetch
                 for mm in range(TILE):
                     for kk in range(TILE):
                         if not a_buf.access(("A", mt * TILE + mm, kt * TILE + kk)):
-                            trace.a_reads += 1
+                            a_reads += 1
                 # Partial sums round-trip through the RF per k-tile.
                 if kt > 0:
-                    trace.c_reads += TILE * TILE
-                    trace.fetch_instructions += 1
-                trace.c_writes += TILE * TILE
-                trace.fetch_instructions += 1
-                trace.products += TILE * TILE * TILE
-                trace.tile_issues.append((TILE * TILE, TILE))
-    trace.outputs = work.outputs
-    trace.evictions = a_buf.stats.evictions + b_buf.stats.evictions
-    return trace
+                    c_reads += TILE * TILE
+                    fetches += 1
+                c_writes += TILE * TILE
+                fetches += 1
+                products += TILE * TILE * TILE
+                tile_issues.append((TILE * TILE, TILE))
+    return OctetTrace(
+        a_reads=a_reads, b_reads=b_reads, c_reads=c_reads, c_writes=c_writes,
+        fetch_instructions=fetches, products=products, outputs=work.outputs,
+        evictions=a_buf.stats.evictions + b_buf.stats.evictions,
+        tile_issues=tuple(tile_issues),
+    )
 
 
 def _trace_packed_k(work: OctetWorkload, arch: OctetArch, pack: int) -> OctetTrace:
     """``P(Bx)k``: packed words along k, WS movement, serial activation use."""
-    trace = OctetTrace()
     a_buf = OperandBuffer("A", arch.a_buffer_beats)
     b_buf = OperandBuffer("B", arch.b_buffer_beats)
+    a_reads = b_reads = c_reads = c_writes = fetches = products = 0
+    tile_issues: list[tuple[int, int]] = []
     chunks_per_word = pack // TILE  # DP-4 passes to drain one word
 
     for kwt in range(work.k // pack):  # one word-row of B per tile step
         for nt in range(work.n // TILE):
-            trace.fetch_instructions += 1  # B tile fetch (4 packed words)
+            fetches += 1  # B tile fetch (4 packed words)
             for nn in range(TILE):
                 if not b_buf.access(("Bw", kwt, nt * TILE + nn)):
-                    trace.b_reads += 1
+                    b_reads += 1
             for mt in range(work.m // TILE):
                 # k-chunk-major drain: a staged A chunk serves all four
                 # words before the next chunk evicts it; each (chunk,
@@ -162,48 +171,55 @@ def _trace_packed_k(work: OctetWorkload, arch: OctetArch, pack: int) -> OctetTra
                 # buffers (measured via the LRU, not assumed).
                 for chunk in range(chunks_per_word):
                     for _nn in range(TILE):
-                        trace.fetch_instructions += 1  # A fetch per pass
+                        fetches += 1  # A fetch per pass
                         for mm in range(TILE):
                             for kk in range(TILE):
                                 k_index = kwt * pack + chunk * TILE + kk
                                 if not a_buf.access(("A", mt * TILE + mm, k_index)):
-                                    trace.a_reads += 1
+                                    a_reads += 1
                         # One pass: 4 m-rows x 4 k against one n column.
-                        trace.products += TILE * TILE
+                        products += TILE * TILE
                 if kwt > 0:
-                    trace.c_reads += TILE * TILE
-                    trace.fetch_instructions += 1
-                trace.c_writes += TILE * TILE
-                trace.fetch_instructions += 1
-                trace.tile_issues.append((TILE * TILE, pack))
-    trace.outputs = work.outputs
-    trace.evictions = a_buf.stats.evictions + b_buf.stats.evictions
-    return trace
+                    c_reads += TILE * TILE
+                    fetches += 1
+                c_writes += TILE * TILE
+                fetches += 1
+                tile_issues.append((TILE * TILE, pack))
+    return OctetTrace(
+        a_reads=a_reads, b_reads=b_reads, c_reads=c_reads, c_writes=c_writes,
+        fetch_instructions=fetches, products=products, outputs=work.outputs,
+        evictions=a_buf.stats.evictions + b_buf.stats.evictions,
+        tile_issues=tuple(tile_issues),
+    )
 
 
 def _trace_pacq(work: OctetWorkload, arch: OctetArch, pack: int) -> OctetTrace:
     """PacQ ``P(Bx)n``: OS movement + compute, parallel activation reuse."""
-    trace = OctetTrace()
     a_buf = OperandBuffer("A", arch.a_buffer_beats)
     b_buf = OperandBuffer("B", arch.b_buffer_beats)
+    a_reads = b_reads = c_writes = fetches = products = 0
+    tile_issues: list[tuple[int, int]] = []
 
     for nt in range(work.n // pack):  # each word covers `pack` outputs
         for mt in range(work.m // TILE):
             for kt in range(work.k // TILE):
-                trace.fetch_instructions += 1  # B tile: 4 words (k x pack)
+                fetches += 1  # B tile: 4 words (k x pack)
                 for kk in range(TILE):
                     if not b_buf.access(("Bw", kt * TILE + kk, nt)):
-                        trace.b_reads += 1
-                trace.fetch_instructions += 1  # one A tile fetch, reused
+                        b_reads += 1
+                fetches += 1  # one A tile fetch, reused
                 for mm in range(TILE):
                     for kk in range(TILE):
                         if not a_buf.access(("A", mt * TILE + mm, kt * TILE + kk)):
-                            trace.a_reads += 1
-                trace.products += TILE * TILE * pack
-                trace.tile_issues.append((TILE * pack, TILE))
+                            a_reads += 1
+                products += TILE * TILE * pack
+                tile_issues.append((TILE * pack, TILE))
             # Outputs leave the DP accumulators exactly once.
-            trace.c_writes += TILE * pack
-            trace.fetch_instructions += 1
-    trace.outputs = work.outputs
-    trace.evictions = a_buf.stats.evictions + b_buf.stats.evictions
-    return trace
+            c_writes += TILE * pack
+            fetches += 1
+    return OctetTrace(
+        a_reads=a_reads, b_reads=b_reads, c_writes=c_writes,
+        fetch_instructions=fetches, products=products, outputs=work.outputs,
+        evictions=a_buf.stats.evictions + b_buf.stats.evictions,
+        tile_issues=tuple(tile_issues),
+    )

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
 
 from repro.errors import ConfigError
 from repro.quant.groups import GroupSpec
 from repro.simt.flows import FlowConfig
-from repro.simt.instruction import MMA_M16N16K16, MmaShape
+from repro.simt.instruction import MMA_M16N16K16, OCTETS_PER_WARP, MmaShape
 from repro.simt.memoryhier import GemmShape, general_core_work, hierarchy_traffic
-from repro.simt.octet import OctetArch, simulate_octet
+from repro.simt.octet import OctetArch, OctetTrace, simulate_octet
 from repro.simt.stats import RfTraffic, SimStats
 from repro.simt.tensorcore import TensorCoreConfig, dp_busy_cycles, octet_cycles
 from repro.simt.warp import decompose
@@ -78,6 +78,12 @@ def _check_tileable(shape: GemmShape, mma: MmaShape) -> tuple[int, int, int]:
     return shape.m // mma.m, shape.n // mma.n, shape.k // mma.k
 
 
+@lru_cache(maxsize=None)
+def _octet_trace(flow: FlowConfig, mma: MmaShape, octet: OctetArch) -> OctetTrace:
+    """The one octet trace of ``mma`` under ``flow`` (shape-independent)."""
+    return simulate_octet(flow, decompose(mma)[0], octet)
+
+
 def simulate_gemm(
     flow: FlowConfig, shape: GemmShape, config: GemmSimConfig = DEFAULT_SIM_CONFIG
 ) -> SimStats:
@@ -85,18 +91,17 @@ def simulate_gemm(
 
     The GEMM is tiled into identical warp MMAs, so one octet is traced
     and its measured activity scaled by the tile count — exact because
-    the flows are data-independent.  Cross-MMA partial-sum round trips
-    (the DP accumulators only persist within one MMA) are added for
-    every k-step beyond the first.
+    the flows are data-independent.  The trace depends on neither the
+    shape nor the machine, so it is taken once per ``(flow, mma,
+    octet)`` and shared by every GEMM priced under them.  Cross-MMA
+    partial-sum round trips (the DP accumulators only persist within
+    one MMA) are added for every k-step beyond the first.
     """
     mt, nt, kt = _check_tileable(shape, config.mma)
     mma_count = mt * nt * kt
-    octet_workloads = decompose(config.mma)
-    octet_work = octet_workloads[0]
-
-    trace = simulate_octet(flow, octet_work, config.octet)
+    trace = _octet_trace(flow, config.mma, config.octet)
     per_octet_cycles = octet_cycles(flow, trace, config.octet, config.core)
-    octets_total = mma_count * len(octet_workloads)
+    octets_total = mma_count * OCTETS_PER_WARP
 
     rf = RfTraffic(
         a_reads=trace.a_reads,
@@ -107,8 +112,8 @@ def simulate_gemm(
 
     # Cross-MMA psum accumulation: every k-step beyond the first
     # re-reads the octet's 8x8 C tile from the RF.
-    nonfirst_octets = mt * nt * (kt - 1) * len(octet_workloads)
-    rf.c_reads += nonfirst_octets * octet_work.outputs
+    nonfirst_octets = mt * nt * (kt - 1) * OCTETS_PER_WARP
+    rf.c_reads += nonfirst_octets * trace.outputs
 
     general = general_core_work(flow, shape, config.group)
     rf.b_reads += general.rf_reads
@@ -136,35 +141,11 @@ def simulate_gemm(
     )
 
 
-def simulate_gemm_many(
-    flow: FlowConfig,
-    shapes: Sequence[GemmShape],
-    config: GemmSimConfig = DEFAULT_SIM_CONFIG,
-) -> list[SimStats]:
-    """Batch entry point: one :class:`SimStats` per shape, memoized.
-
-    Workload replays (:mod:`repro.codesign`) price thousands of served
-    histogram buckets that collapse — after warp-tile padding — onto a
-    handful of distinct shapes; duplicates are simulated once.  Output
-    order matches input order, so the memo never changes results, only
-    cost.
-    """
-    memo: dict[GemmShape, SimStats] = {}
-    out: list[SimStats] = []
-    for shape in shapes:
-        stats = memo.get(shape)
-        if stats is None:
-            stats = memo[shape] = simulate_gemm(flow, shape, config)
-        out.append(stats)
-    return out
-
-
 def dp_busy_cycles_for_gemm(
     flow: FlowConfig, shape: GemmShape, config: GemmSimConfig = DEFAULT_SIM_CONFIG
 ) -> int:
     """Total DP-unit busy cycles across the whole GEMM (energy input)."""
     mt, nt, kt = _check_tileable(shape, config.mma)
-    octet_work = decompose(config.mma)[0]
-    trace = simulate_octet(flow, octet_work, config.octet)
+    trace = _octet_trace(flow, config.mma, config.octet)
     per_octet_busy = dp_busy_cycles(flow, trace, config.octet, config.core)
-    return per_octet_busy * mt * nt * kt * 4
+    return per_octet_busy * mt * nt * kt * OCTETS_PER_WARP

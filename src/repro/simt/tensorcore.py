@@ -58,12 +58,7 @@ def octet_cycles(
     """End-to-end cycles for one octet's traced workload."""
     if not trace.tile_issues:
         raise ConfigError("trace carries no tile issues")
-    dp = core.dp_config(flow)
-    compute = 0
-    for outputs, k_span in trace.tile_issues:
-        per_dp_outputs = math.ceil(outputs / arch.dp_units)
-        breakdown = cycles_for(dp, TileWork(per_dp_outputs, k_span))
-        compute += max(breakdown.mul_cycles, breakdown.adder_cycles)
+    compute = dp_busy_cycles(flow, trace, arch, core)
     fetch = math.ceil(trace.fetch_instructions / arch.fetch_ports)
     return PIPELINE_FILL + max(compute, fetch)
 

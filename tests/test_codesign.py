@@ -199,12 +199,62 @@ class TestReplay:
         assert fp16.flow.kind is FlowKind.STANDARD_DEQUANT
         assert fp16.sim.machine.num_sms == 2
 
+    def test_one_octet_trace_per_architecture(self, monkeypatch):
+        """The octet trace is shape-independent: the committed captures
+        replayed across machine and tensor-core points trace it once, and
+        only a different octet architecture traces it again."""
+        import dataclasses
+        import pathlib
+
+        from repro.core.arch import pacq
+        from repro.simt import sm
+        from repro.simt.memoryhier import GemmShape
+        from repro.simt.octet import OctetArch
+
+        sm._octet_trace.cache_clear()
+        traced = []
+        simulate_octet = sm.simulate_octet
+
+        def counting(*args):
+            traced.append(args)
+            return simulate_octet(*args)
+
+        monkeypatch.setattr(sm, "simulate_octet", counting)
+        captures = sorted(
+            (pathlib.Path(__file__).resolve().parents[1] / "docs/data/captures")
+            .glob("*.json")
+        )
+        assert len(captures) == 3
+        points = [
+            ArchPoint(),
+            ArchPoint(num_sms=4),
+            ArchPoint(num_sms=2, adder_tree_dup=1),
+            ArchPoint(num_sms=8, dram_beats=12.0, dp_width=2),
+        ]
+        for path in captures:
+            capture = load_capture(path)
+            for point in points:
+                replay_capture(capture, point)
+        assert len(traced) == 1
+
+        arch = pacq(4)
+        sim = dataclasses.replace(arch.sim, octet=OctetArch(a_buffer_beats=32))
+        shape = GemmShape(32, 64, 64)
+        warm = sm.simulate_gemm(arch.flow, shape, sim)
+        assert len(traced) == 2
+        sm._octet_trace.cache_clear()
+        assert sm.simulate_gemm(arch.flow, shape, sim) == warm
+        assert len(traced) == 3
+
+        trace = sm._octet_trace(arch.flow, sim.mma, sim.octet)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.a_reads = 0
+
     def test_batch_entry_points_match_single_shot(self):
         from repro.core.arch import pacq
         from repro.core.metrics import evaluate, evaluate_many
         from repro.core.roofline import analyze, analyze_many
         from repro.simt.memoryhier import GemmShape
-        from repro.simt.sm import simulate_gemm, simulate_gemm_many
 
         arch = pacq(4)
         shapes = [
@@ -214,9 +264,6 @@ class TestReplay:
             evaluate(arch, s) for s in shapes
         ]
         assert analyze_many(arch, shapes) == [analyze(arch, s) for s in shapes]
-        assert simulate_gemm_many(arch.flow, shapes, arch.sim) == [
-            simulate_gemm(arch.flow, s, arch.sim) for s in shapes
-        ]
 
 
 class TestArtifacts:

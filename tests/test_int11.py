@@ -10,9 +10,7 @@ from repro.multiplier.int11 import (
     PARALLEL_INT11_INVENTORY,
     PARALLEL_INT11_REUSED,
     AdderInventory,
-    baseline_activity,
     baseline_int11_mul,
-    parallel_activity,
     parallel_int11_mul,
     partial_product_rows,
 )
@@ -83,18 +81,3 @@ class TestInventories:
     def test_merge(self):
         merged = AdderInventory({16: 2}).merged_with(AdderInventory({16: 1, 6: 4}))
         assert merged.adders == {16: 3, 6: 4}
-
-
-class TestActivity:
-    def test_baseline_and_plane(self):
-        assert baseline_activity().and_plane_bits == 121
-
-    def test_parallel_and_plane_int4(self):
-        assert parallel_activity(4).and_plane_bits == 11 * 4 * 4
-
-    def test_parallel_and_plane_int2(self):
-        assert parallel_activity(2).and_plane_bits == 11 * 2 * 8
-
-    def test_parallel_rejects_other_widths(self):
-        with pytest.raises(EncodingError):
-            parallel_activity(3)

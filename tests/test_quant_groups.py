@@ -51,16 +51,6 @@ class TestTiling:
     def test_grid_shape(self):
         assert G32_4.grid_shape(64, 8) == (2, 2)
 
-    def test_iter_groups_covers_matrix_disjointly(self):
-        spec = GroupSpec(4, 2)
-        seen = set()
-        for ks, ns in spec.iter_groups(8, 4):
-            for k in range(ks.start, ks.stop):
-                for n in range(ns.start, ns.stop):
-                    assert (k, n) not in seen
-                    seen.add((k, n))
-        assert len(seen) == 8 * 4
-
     @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 4), st.integers(1, 4))
     def test_grid_shape_times_group_size_recovers_matrix(self, gk, gn, k, n):
         spec = GroupSpec(k, n)
