@@ -24,7 +24,7 @@ from repro.harness import Job, ResultCache, SweepSpec, run_job, run_jobs
 #: Cheap sweep: 2 backends x 2 specs at a reduced Table II size.
 SWEEP = SweepSpec.make(
     ["table2"],
-    grid={"backend": ["fast", "batched"], "spec": ["g128", "g[32,4]"]},
+    grid={"backend": ["batched", "reference"], "spec": ["g128", "g[32,4]"]},
     base={"vocab": 64, "d_model": 256, "corpus_len": 128},
 )
 

@@ -13,7 +13,7 @@ The model layer (:mod:`repro.model`) in one script:
 4. print the session's per-layer GEMM telemetry and price one layer's
    aggregate GEMM on the PacQ cost model.
 
-Run: ``python examples/generate.py [--quick] [--backend fast]``
+Run: ``python examples/generate.py [--quick] [--backend bitexact]``
 (``--quick`` shrinks the model and generation length for CI).
 """
 
@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core import evaluate, pacq, standard_dequant
 from repro.core.report import render_table
+from repro.engine import DEFAULT_BACKEND, backend_names
 from repro.llm.transformer import TransformerConfig, init_weights
 from repro.model import InferenceSession, parse_policy, quantize_model, save_model
 
@@ -32,8 +33,10 @@ POLICY = "layer*.w_gate=int2@g[32,4];layer*.w_up=int2@g[32,4];*=int4@g[32,4]"
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--backend", default="fast",
-                        help="engine backend for the quantized linears")
+    parser.add_argument("--backend", choices=backend_names(),
+                        default=DEFAULT_BACKEND,
+                        help="engine backend for the quantized linears "
+                        "(default: %(default)s)")
     parser.add_argument("--quick", action="store_true",
                         help="small model / short generation (CI smoke)")
     args = parser.parse_args()

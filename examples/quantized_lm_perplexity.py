@@ -10,11 +10,10 @@ then measures perplexity with the LM head:
   with every logits GEMM routed through the execution engine — i.e.
   the actual PacQ compute path with its transformed-weight products.
   The head is planned once per geometry and executed per batch;
-  ``--backend`` picks the execution strategy between ``fast`` and
-  ``batched`` (bit-identical by contract, so the table does not
-  depend on the choice; ``reference`` would skip the transformed
-  datapath and ``bitexact`` takes hours at this size, so neither is
-  offered here).
+  ``--backend`` picks the execution strategy between ``batched`` (the
+  default) and the bit-level oracle ``bitexact`` (bit-identical by
+  contract, so the table does not depend on the choice; ``reference``
+  would skip the transformed datapath, so it is not offered here).
 
 The paper's claim to observe: ``g[32,4]`` (PacQ-friendly, one scale
 fetch per packed word) is iso-perplexity with the conventional
@@ -25,6 +24,7 @@ Run: ``python examples/quantized_lm_perplexity.py [--backend batched]``
 
 import argparse
 
+from repro.engine import DEFAULT_BACKEND
 from repro.llm import make_bigram_lm, sample_tokens
 from repro.llm.perplexity import table2_rows
 from repro.quant import TABLE2_SPECS
@@ -35,10 +35,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--backend",
-        choices=("fast", "batched"),
-        default="batched",
+        choices=("batched", "bitexact"),
+        default=DEFAULT_BACKEND,
         help="GEMM engine backend for the quantized logits GEMMs "
-        "(bit-identical choices; default: batched)",
+        "(bit-identical choices; default: %(default)s)",
     )
     args = parser.parse_args()
 

@@ -11,7 +11,7 @@ Walks the full PacQ story on one layer:
 4. simulate the same GEMM on the three architectures and report
    speedup and EDP.
 
-Run: ``python examples/quickstart.py [--backend {fast,batched,...}]``
+Run: ``python examples/quickstart.py [--backend {batched,bitexact,...}]``
 """
 
 import argparse
@@ -26,7 +26,7 @@ from repro.core import (
     standard_dequant,
 )
 from repro.core.gemm import dequant_reference
-from repro.engine import backend_names, plan_gemm
+from repro.engine import DEFAULT_BACKEND, backend_names, plan_gemm
 from repro.quant import GroupSpec, quantize_rtn
 from repro.simt.memoryhier import GemmShape
 
@@ -36,8 +36,8 @@ def main() -> None:
     parser.add_argument(
         "--backend",
         choices=backend_names(),
-        default="batched",
-        help="GEMM engine backend to execute through (default: batched; "
+        default=DEFAULT_BACKEND,
+        help="GEMM engine backend to execute through (default: %(default)s; "
         "the vectorized bitexact validator handles this size in "
         "milliseconds — only bitexact-scalar still takes minutes)",
     )

@@ -8,7 +8,7 @@ then prices all of the decoder's GEMMs on PacQ vs the standard
 dequantization flow — the full deployment story of the paper in one
 script.
 
-Run: ``python examples/transformer_inference.py [--backend fast]``
+Run: ``python examples/transformer_inference.py [--backend bitexact]``
 """
 
 import argparse
@@ -18,6 +18,7 @@ import numpy as np
 from repro.core import evaluate, pacq, standard_dequant
 from repro.core.metrics import edp_reduction, speedup
 from repro.core.roofline import analyze
+from repro.engine import DEFAULT_BACKEND
 from repro.llm.transformer import (
     Decoder,
     TransformerConfig,
@@ -33,10 +34,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--backend",
-        choices=("fast", "batched"),
-        default="fast",
+        choices=("batched", "bitexact"),
+        default=DEFAULT_BACKEND,
         help="engine backend for the quantized linears "
-        "(bit-identical choices; default: fast)",
+        "(bit-identical choices; default: %(default)s)",
     )
     args = parser.parse_args()
 

@@ -28,7 +28,7 @@ mkdir -p "$CAPDIR"
 # prefix cache prefills only its post-preamble suffix (1 tile).
 TRACE=(--requests 12 --max-batch 4 --vocab 64 --d-model 64 --d-ffn 128
        --max-seq 128 --prompt-len 8,48 --max-new 4,12 --shared-prefix 32
-       --shared-fraction 0.75 --seed 0 --backend fast)
+       --shared-fraction 0.75 --seed 0)
 
 python -m repro serve-sim "${TRACE[@]}" \
     --codesign fifo --json "$CAPDIR/fifo.json"

@@ -10,8 +10,8 @@ Sub-packages:
 * :mod:`repro.multiplier` - the parallel FP-INT multiplier + DP units.
 * :mod:`repro.energy` - analytical 32 nm cost model (DC/CACTI stand-in).
 * :mod:`repro.simt` - trace-driven octet / tensor-core / SM simulator.
-* :mod:`repro.engine` - pluggable GEMM execution engine
-  (plan/execute split, backend registry).
+* :mod:`repro.engine` - GEMM execution engine
+  (plan/execute split, one backend table).
 * :mod:`repro.core` - architectures, functional GEMM, metrics,
   experiment runners for every paper table and figure.
 * :mod:`repro.harness` - experiment orchestration: declarative sweeps,

@@ -12,7 +12,7 @@ boundaries; and worker processes route through
 AST rules so that "accidentally nondeterministic" is a lint failure
 instead of a flaky token-identity test three layers downstream.
 
-The package mirrors the :mod:`repro.engine` registry idiom:
+The package is laid out as:
 
 * :mod:`repro.analysis.registry` — :class:`Rule` / :class:`Finding`
   models and the pluggable rule registry (:func:`register_rule`);

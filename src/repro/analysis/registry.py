@@ -1,9 +1,9 @@
 """Rule and finding models, plus the pluggable rule registry.
 
 A *rule* is a named check over one parsed source file.  The registry
-is detlint's extension seam (mirroring the GEMM engine's backend
-registry): project- or experiment-specific determinism checks plug in
-by registering a new rule — no changes to the runner or the CLI.
+is detlint's extension seam: project- or experiment-specific
+determinism checks plug in by registering a new rule — no changes to
+the runner or the CLI.
 
 Registering a custom rule::
 

@@ -63,7 +63,7 @@ from repro.core.report import (
     render_experiments_md,
     render_table,
 )
-from repro.engine import backend_names, list_backends
+from repro.engine import DEFAULT_BACKEND, backend_names
 from repro.errors import ConfigError, QuantizationError
 from repro.harness import (
     Job,
@@ -74,7 +74,7 @@ from repro.harness import (
 )
 
 #: Non-experiment legacy commands.
-_LEGACY_EXTRAS = ("all", "table1", "backends")
+_LEGACY_EXTRAS = ("all", "table1")
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +179,6 @@ def _print_table1() -> None:
     rows = [[unit, composition] for unit, composition in table1()]
     print(render_table("table1: configuration of PacQ and baselines",
                        ["unit", "composition"], rows))
-    print()
-
-
-def _print_backends() -> None:
-    rows = [
-        [b.name, "yes" if b.transformed else "no", b.description]
-        for b in list_backends()
-    ]
-    print(render_table("backends: registered GEMM engine backends",
-                       ["name", "transformed", "description"], rows))
     print()
 
 
@@ -945,9 +935,6 @@ def _legacy_main(argv: list[str]) -> int:
     if args.experiment == "table1":
         _print_table1()
         return 0
-    if args.experiment == "backends":
-        _print_backends()
-        return 0
 
     def run_one(name: str) -> None:
         exp = get_experiment(name)
@@ -1015,7 +1002,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "the stock backend x Table-II-spec sweep)")
     sweep_p.add_argument("--grid", action="append", metavar="K=V1,V2",
                          help="sweep axis (repeatable; 'backend=all' expands "
-                         "to every registered backend)")
+                         "to every backend)")
     sweep_p.add_argument("--set", action="append", metavar="K=V",
                          help="fixed parameter for every job (repeatable)")
     sweep_p.add_argument("--format", choices=["text", "json", "csv"],
@@ -1077,8 +1064,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_p.add_argument("--temperature", type=float, default=1.0)
     gen_p.add_argument("--seed", type=int, default=0,
                        help="sampling seed (default: 0)")
-    gen_p.add_argument("--backend", choices=backend_names(), default="fast",
-                       help="engine backend for the quantized linears")
+    gen_p.add_argument("--backend", choices=backend_names(),
+                       default=DEFAULT_BACKEND,
+                       help="engine backend for the quantized linears "
+                       "(default: %(default)s)")
     gen_p.add_argument("--telemetry", action="store_true",
                        help="print per-layer GEMM telemetry after generating")
     gen_p.set_defaults(func=_cmd_generate)
@@ -1140,8 +1129,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--spec-k", type=int, default=4, metavar="K",
                          help="draft window: tokens proposed per verify "
                          "step (default: 4; needs --draft)")
-    serve_p.add_argument("--backend", choices=backend_names(), default="fast",
-                         help="engine backend for the batched GEMMs")
+    serve_p.add_argument("--backend", choices=backend_names(),
+                         default=DEFAULT_BACKEND,
+                         help="engine backend for the batched GEMMs "
+                         "(default: %(default)s)")
     serve_p.add_argument("--workers", type=int, default=1, metavar="N",
                          help="worker processes (default: 1 = in-process "
                          "serving); N > 1 routes whole requests to N "

@@ -84,9 +84,7 @@ def _synthetic_capture(policy: str, requests: int, max_new: int) -> WorkloadCapt
     trace = synthesize(spec, config.vocab, config.max_seq)
 
     prefix_cache = RadixPrefixCache(16 << 20) if policy == "prefix-cache" else None
-    session = BatchedSession(
-        qmodel, backend="fast", max_slots=requests, prefix_cache=prefix_cache
-    )
+    session = BatchedSession(qmodel, max_slots=requests, prefix_cache=prefix_cache)
     speculate = None
     if policy == "speculative":
         speculate = (BigramDraft.distill(session.decoder), 4)

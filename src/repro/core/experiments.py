@@ -38,6 +38,7 @@ from repro.core.workloads import fig10_workload
 from repro.energy.breakdown import average_reuse, fig9_breakdowns
 from repro.energy.tech import DEFAULT_TECH
 from repro.energy.units import dp_unit, fp16_mul_baseline, fp_int16_mul_parallel
+from repro.engine import DEFAULT_BACKEND
 from repro.errors import ConfigError
 from repro.llm.bigram import make_bigram_lm
 from repro.llm.corpus import sample_tokens
@@ -395,7 +396,7 @@ def table2(
     vocab: int = 256,
     d_model: int = 512,
     corpus_len: int = 2048,
-    backend: str = "fast",
+    backend: str = DEFAULT_BACKEND,
     spec: str | None = None,
     policy: str | None = None,
 ) -> ExperimentResult:
@@ -407,7 +408,7 @@ def table2(
     Llama2-7B/WikiText-2 numbers by construction.
 
     ``backend`` selects the engine backend the quantized GEMMs execute
-    through (CLI ``--backend``); ``fast`` and ``batched`` produce
+    through (CLI ``--backend``); ``batched`` and ``bitexact`` produce
     bit-identical perplexities.  ``spec`` restricts the run to one
     group geometry by its paper label (``"g128"``, ``"g[32,4]"``, ...)
     — a harness sweep axis.  ``policy`` replaces the stock RTN-INT4

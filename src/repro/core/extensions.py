@@ -223,7 +223,7 @@ def spec_decode_experiment(
     trace = synthesize(spec, config.vocab, config.max_seq)
 
     def run(speculate):
-        session = BatchedSession(qmodel, backend="fast", max_slots=requests)
+        session = BatchedSession(qmodel, max_slots=requests)
         scheduler = Scheduler(session, max_batch=requests, speculate=speculate)
         report = replay(scheduler, trace, strict=True)
         streams = [tuple(r.new_tokens) for r in report.results]
@@ -231,13 +231,13 @@ def spec_decode_experiment(
 
     def make_draft(name):
         if name == "bigram":
-            session = BatchedSession(qmodel, backend="fast", max_slots=1)
+            session = BatchedSession(qmodel, max_slots=1)
             return BigramDraft.distill(session.decoder)
         draft_model = quantize_model(
             weights, parse_policy(f"*={name}@g[32,4]"), config=config,
             compute_reports=False,
         )
-        return SessionDraft(draft_model, backend="fast", max_slots=requests)
+        return SessionDraft(draft_model, max_slots=requests)
 
     base_streams, base_stats = run(None)
     rows = []

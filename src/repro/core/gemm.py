@@ -25,38 +25,26 @@ step and a repeated **execute** step:
   expanded scale grids, pack layout) into a cached
   :class:`repro.engine.GemmPlan`;
 * :meth:`GemmPlan.execute(a, backend=...) <repro.engine.GemmPlan.execute>`
-  runs the hot path through a named backend from the engine registry.
+  runs the hot path through one backend of the engine's table.
 
 ``hyper_gemm(a, qm, mode=...)`` keeps its original signature: ``mode``
-is simply a registered backend name, and plans are memoized per weight
-matrix, so repeated calls (per-token decoding, perplexity sweeps) plan
-once and execute many times.  Built-in backends:
+is simply a backend name, and plans are memoized per weight matrix, so
+repeated calls (per-token decoding, perplexity sweeps) plan once and
+execute many times.  Backends:
 
-* ``"fast"`` — vectorized NumPy with FP16-rounded products and wide
-  accumulation (tensor-core FP32-accumulate behaviour); use for real
-  workloads;
-* ``"batched"`` — the same numerics as one batched channel-indicator
-  contraction (BLAS), bit-for-bit identical to ``fast`` and
-  substantially faster at serving shapes;
+* ``"batched"`` (the default) — FP16-rounded transformed products with
+  wide accumulation (tensor-core FP32-accumulate behaviour), as one
+  batched channel-indicator contraction (BLAS); use for real workloads;
 * ``"bitexact"`` — every product goes through the bit-level parallel
-  multiplier of :mod:`repro.multiplier.parallel`; use to validate the
-  datapath on small matrices;
+  multiplier of :mod:`repro.multiplier.parallel`, vectorized; the
+  datapath oracle;
+* ``"bitexact-scalar"`` — the same multiplier, one scalar call per
+  product; the oracle of ``"bitexact"``, for tiny matrices only;
 * ``"reference"`` — the dequantize-then-matmul baseline flow
   (equivalent to :func:`dequant_reference`).
 
-Custom backends plug in without touching this module::
-
-    from repro.engine import register_backend
-
-    @register_backend("tiled", description="cache-tiled execution")
-    def execute_tiled(a, plan):  # (activations, GemmPlan) -> [m, n]
-        ...
-
-    hyper_gemm(a, qm, mode="tiled")  # dispatches to the new backend
-
-``"fast"`` and ``"bitexact"`` agree bit-for-bit on products (asserted
-in the tests), and ``"batched"`` is asserted bit-identical to
-``"fast"`` across random group specs.
+``"batched"`` and ``"bitexact"`` agree bit-for-bit (asserted across
+random group specs in the tests).
 
 Numerics note: each product is the FP16 rounding of
 ``A * (B + 1032)`` — bit-identical to multiplying by the transformed
@@ -81,7 +69,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import plan_gemm
+from repro.engine import DEFAULT_BACKEND, plan_gemm
 from repro.quant.packing import PackDim, PackSpec, pack
 from repro.quant.rtn import QuantizedMatrix
 
@@ -106,7 +94,7 @@ def dequant_reference(a: np.ndarray, qm: QuantizedMatrix) -> np.ndarray:
 def hyper_gemm(
     a: np.ndarray,
     qm: QuantizedMatrix,
-    mode: str = "fast",
+    mode: str = DEFAULT_BACKEND,
 ) -> np.ndarray:
     """``C = A @ dequant(B)`` through PacQ's transformed-weight path.
 
@@ -117,16 +105,15 @@ def hyper_gemm(
     Args:
         a: ``[m, k]`` activations (rounded to FP16 on entry).
         qm: group-quantized ``[k, n]`` weights (INT4 or INT2).
-        mode: a registered backend name — ``"fast"``, ``"batched"``,
-            ``"bitexact"``, ``"reference"``, or any custom
-            registration.
+        mode: a backend name — ``"batched"``, ``"bitexact"``,
+            ``"bitexact-scalar"`` or ``"reference"``.
 
     Returns:
         ``[m, n]`` float64 outputs (FP32-accumulate semantics).
 
     Raises:
         QuantizationError: from the engine, for non-INT4/INT2 weights,
-            mismatched activation shapes, or unknown modes.
+            mismatched activation shapes, or unknown backends.
     """
     return plan_gemm(qm).execute(a, backend=mode)
 

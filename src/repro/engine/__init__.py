@@ -1,4 +1,4 @@
-"""Pluggable GEMM execution engine: plan once, execute many times.
+"""GEMM execution engine: plan once, execute many times.
 
 The engine splits PacQ's hyper-asymmetric GEMM into two steps:
 
@@ -7,18 +7,21 @@ The engine splits PacQ's hyper-asymmetric GEMM into two steps:
    ``rebias - zero`` group adjustments, expanded scale grids, and
    (lazily) the dequantized reference operand and the packed layout.
 2. **Execute** (:meth:`GemmPlan.execute`) — the repeated hot path,
-   dispatched through a named backend from the registry.
+   dispatched through one backend of the table in
+   :mod:`repro.engine.backends`.
 
-Built-in backends (:mod:`repro.engine.backends`):
+Backends:
 
-========== ==================================================== ===========
-name       strategy                                             transformed
-========== ==================================================== ===========
-reference  dequantize to FP16, then matmul (baseline flow)      no
-fast       vectorized per-k-group transformed products (seed)   yes
-batched    single-einsum batched products, bit-exact with fast  yes
-bitexact   bit-level parallel multiplier (validator, slow)      yes
-========== ==================================================== ===========
+=============== ================================================ ===========
+name            strategy                                         transformed
+=============== ================================================ ===========
+reference       dequantize to FP16, then matmul (baseline flow)  no
+batched         channel-indicator contraction (the default)      yes
+bitexact        vectorized bit-level multiplier (the oracle)     yes
+bitexact-scalar per-element bit-level multiplier (slow oracle)   yes
+=============== ================================================ ===========
+
+``batched``, ``bitexact`` and ``bitexact-scalar`` are bit-identical.
 
 Typical use::
 
@@ -26,15 +29,13 @@ Typical use::
 
     plan = plan_gemm(qm)              # cached per QuantizedMatrix
     for step in range(tokens):
-        out = plan.execute(a[step])   # backend="batched" by default
+        out = plan.execute(a[step])   # backend=DEFAULT_BACKEND ("batched")
 
-Custom backends register through :func:`register_backend` (see
-:mod:`repro.engine.registry`); :func:`repro.core.gemm.hyper_gemm`
-remains the stable one-shot wrapper and accepts any registered backend
-name as its ``mode``.
+:func:`repro.core.gemm.hyper_gemm` remains the one-shot wrapper and
+takes a backend name as its ``mode``.
 """
 
-from repro.engine import backends as _backends  # noqa: F401  (registers built-ins)
+from repro.engine.backends import DEFAULT_BACKEND, backend_names, get_backend
 from repro.engine.plan import (
     GemmPlan,
     clear_plan_cache,
@@ -46,29 +47,18 @@ from repro.engine.plan import (
     plan_gemm,
     plan_histograms,
 )
-from repro.engine.registry import (
-    Backend,
-    backend_names,
-    get_backend,
-    list_backends,
-    register_backend,
-    unregister_backend,
-)
 
 __all__ = [
-    "Backend",
+    "DEFAULT_BACKEND",
     "GemmPlan",
     "backend_names",
     "clear_plan_cache",
     "diff_plan_histograms",
     "get_backend",
-    "list_backends",
     "merge_plan_histograms",
     "plan_cache_size",
     "plan_dims",
     "plan_histograms",
     "plan_cache_stats",
     "plan_gemm",
-    "register_backend",
-    "unregister_backend",
 ]

@@ -1,22 +1,21 @@
-"""Built-in execution backends of the GEMM engine.
+"""The GEMM engine's backend table: four ways to execute one plan.
 
-Four strategies over one :class:`repro.engine.plan.GemmPlan`:
+Every backend maps ``(activations, GemmPlan)`` to ``[m, n]`` float64:
 
 * ``reference`` — dequantize-then-matmul baseline (no transformed
   datapath, so no FP16 saturation edge);
-* ``fast`` — the seed's vectorized per-k-group path, ported onto
-  plans (products FP16-rounded, float64 wide accumulation);
-* ``batched`` — one reshaped product tensor over
-  ``[m, gk, group_k] x [gk, group_k, n]`` contracted with a single
-  einsum, plus vectorized scale/adjust application.  Bit-for-bit
-  identical to ``fast`` (see the numerics notes inline);
+* ``batched`` (:data:`DEFAULT_BACKEND`) — PacQ's transformed-weight
+  datapath as one channel-indicator contraction per call (BLAS).  It
+  falls back to :func:`execute_fast`, the per-k-group slab path, where
+  the contraction cannot be exact; the two are bit-for-bit identical
+  (see the numerics notes inline);
 * ``bitexact`` — every product through the bit-level parallel
   multiplier, vectorized over numpy integer lanes by
-  :mod:`repro.fp.vec`; the datapath validator, now fast enough for
-  real LLM layer shapes;
+  :mod:`repro.fp.vec`; the datapath oracle, fast enough for real LLM
+  layer shapes;
 * ``bitexact-scalar`` — the original per-element Python loop over
   :func:`repro.multiplier.parallel.parallel_fp_int_mul`; kept as the
-  oracle the vectorized validator is tested against.
+  oracle the vectorized ``bitexact`` is tested against.
 
 All transformed backends share the plan's precomputed slabs, so the
 per-call cost is purely the product/accumulate work.
@@ -24,20 +23,21 @@ per-call cost is purely the product/accumulate work.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Callable
+
 import numpy as np
 
-from repro.engine.plan import GemmPlan
-from repro.engine.registry import register_backend
 from repro.errors import QuantizationError
 from repro.fp import fp16, vec
 from repro.multiplier.parallel import parallel_fp_int_mul, rebias_offset
 
+if TYPE_CHECKING:
+    from repro.engine.plan import GemmPlan
 
-@register_backend(
-    "reference",
-    description="dequantize-to-FP16 then matmul (baseline flow, no transform)",
-    transformed=False,
-)
+#: The backend every ``backend=`` / ``mode=`` parameter defaults to.
+DEFAULT_BACKEND = "batched"
+
+
 def execute_reference(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
     """The baseline flow: FP16 activations times FP16-rounded weights."""
     a16 = np.asarray(a, dtype=np.float16).astype(np.float64)
@@ -46,12 +46,12 @@ def execute_reference(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
     return a16 @ plan.w16
 
 
-@register_backend(
-    "fast",
-    description="vectorized per-k-group transformed products (seed path)",
-)
 def execute_fast(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
-    """The seed's vectorized path, reading precomputed slabs off the plan."""
+    """Per-k-group transformed products off the plan's slabs.
+
+    ``batched``'s fallback wherever its contraction cannot be exact
+    (see :func:`execute_batched`); not a backend of its own.
+    """
     a16 = np.asarray(a, dtype=np.float16)
     a_wide = a16.astype(np.float64)
     m = a16.shape[0]
@@ -87,49 +87,45 @@ _BATCHED_MAX_GROUP_K = 4096
 
 #: Ceiling on the cached channel-indicator operand (``channels * 8``
 #: bytes per weight element: 128 B for INT4, 32 B for INT2).  Matrices
-#: whose indicator would exceed this take the ``fast`` slab path
-#: instead of trading this much resident memory for the BLAS
+#: whose indicator would exceed this take the :func:`execute_fast` slab
+#: path instead of trading this much resident memory for the BLAS
 #: contraction.
 _BATCHED_MAX_ONEHOT_BYTES = 1 << 30
 
 
-@register_backend(
-    "batched",
-    description="batched channel-indicator contraction (bit-exact with fast)",
-)
 def execute_batched(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
     """All k-groups in one reshaped BLAS contraction, no Python loops.
 
     A transformed weight takes only ``channels = 2**bits`` distinct
     values (``1024 + c``), so every FP16-rounded product appears in the
     small table ``table[m, k, c] = fp16(a[m, k] * (1024 + c))``.  The
-    per-group product sums of ``fast`` are then one batched einsum
-    ``[gk, m, group_k * channels] x [gk, group_k * channels, n]``
+    per-group product sums of :func:`execute_fast` are then one batched
+    einsum ``[gk, m, group_k * channels] x [gk, group_k * channels, n]``
     against the plan's 0/1 channel indicator (executed via
     ``np.matmul`` -> BLAS), followed by a vectorized scale/adjust
     application over the ``[gk, m, n]`` group partials.
 
-    Bit-for-bit identical to ``fast``:
+    Bit-for-bit identical to :func:`execute_fast`:
 
     * the table entries are the same float32-multiply-then-cast
-      FP16-rounded products ``fast`` computes;
+      FP16-rounded products :func:`execute_fast` computes;
     * each contraction sums ``group_k`` FP16-exact float64 values (the
       indicator zeros add exactly); such sums fit float64's 53-bit
       significand for ``group_k <= 4096``, so BLAS reassociation
       cannot change the result;
     * the final reduction over ``gk`` is a strided float64 sum, which
       NumPy evaluates in index order — the same left-to-right
-      accumulation as ``fast``'s ``out +=`` loop (pinned by the
-      cross-backend property tests).
+      accumulation as :func:`execute_fast`'s ``out +=`` loop (pinned by
+      the cross-backend property tests).
 
     Activations large enough to saturate FP16 (``|A| * t_max`` at the
     overflow boundary) would put ``inf`` into the table, and
     ``inf * 0`` in the contraction is NaN rather than the datapath's
     saturating ``inf`` — those calls, group extents beyond the
     exactness ceiling, and matrices whose indicator operand would
-    exceed the memory ceiling all take the ``fast`` slab path instead
-    (identical results, including the documented saturation
-    behaviour).
+    exceed the memory ceiling all take the :func:`execute_fast` slab
+    path instead (identical results, including the documented
+    saturation behaviour).
     """
     a16 = np.asarray(a, dtype=np.float16)
     a32 = a16.astype(np.float32)
@@ -164,7 +160,7 @@ def execute_batched(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
         corrected + plan.adjust_rows[:, None, :] * s_a
     )
     # detlint: ignore[D003]: reduces the gk group axis, whose length is fixed
-    # by the plan alone — batch-independent; identity with the fast backend's
+    # by the plan alone — batch-independent; identity with execute_fast's
     # sequential accumulation is asserted bit-for-bit in tests.
     return contrib.sum(axis=0)
 
@@ -197,10 +193,6 @@ def _group_sum_like_oracle(blocked: np.ndarray) -> np.ndarray:
     return total
 
 
-@register_backend(
-    "bitexact",
-    description="vectorized bit-level parallel FP-INT multiplier (datapath validator)",
-)
 def execute_bitexact(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
     """Every product through the bit-level multiplier, vectorized.
 
@@ -214,7 +206,8 @@ def execute_bitexact(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
     the scalar oracle loop (``bitexact-scalar``) is pinned by the
     engine tests.  The only Python-level iteration left is the per-row
     gather (bounding the float64 product block to ``[k, n]``) and the
-    per-k-group accumulation, which mirrors ``fast``'s group order.
+    per-k-group accumulation, which mirrors :func:`execute_fast`'s group
+    order.
     """
     a16 = np.asarray(a, dtype=np.float16)
     _check_pack_alignment(plan)
@@ -245,10 +238,6 @@ def execute_bitexact(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
     return out
 
 
-@register_backend(
-    "bitexact-scalar",
-    description="per-element scalar parallel multiplier (oracle for bitexact)",
-)
 def execute_bitexact_scalar(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
     """Every product through the scalar bit-level multiplier (slow, exact).
 
@@ -282,3 +271,32 @@ def execute_bitexact_scalar(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
                 corrected + plan.adjust_rows[gi] * s_a
             )
     return out
+
+
+#: Backend name -> execute function.
+BACKENDS: dict[str, Callable[[np.ndarray, GemmPlan], np.ndarray]] = {
+    "reference": execute_reference,
+    "batched": execute_batched,
+    "bitexact": execute_bitexact,
+    "bitexact-scalar": execute_bitexact_scalar,
+}
+
+
+def backend_names() -> list[str]:
+    """Sorted backend names."""
+    return sorted(BACKENDS)
+
+
+def get_backend(name: str) -> Callable[[np.ndarray, GemmPlan], np.ndarray]:
+    """The execute function of backend ``name``.
+
+    Raises:
+        QuantizationError: for unknown names, listing the valid ones.
+    """
+    try:
+        return BACKENDS[name]
+    except KeyError:
+        raise QuantizationError(
+            f"unknown backend {name!r}; valid backends: "
+            + ", ".join(backend_names())
+        ) from None

@@ -37,6 +37,7 @@ import weakref
 
 import numpy as np
 
+from repro.engine.backends import DEFAULT_BACKEND, get_backend
 from repro.errors import QuantizationError
 from repro.multiplier.parallel import rebias_offset, transform_offset
 from repro.quant.groups import GroupSpec
@@ -48,7 +49,7 @@ class GemmPlan:
     """Precomputed execution state for one quantized weight matrix.
 
     Build via :func:`plan_gemm` (cached) or directly (uncached); then
-    run :meth:`execute` with any registered backend name.
+    run :meth:`execute` with any backend name.
     """
 
     def __init__(self, qm: QuantizedMatrix) -> None:
@@ -192,15 +193,14 @@ class GemmPlan:
     def execute(
         self,
         a: np.ndarray,
-        backend: str = "batched",
+        backend: str = DEFAULT_BACKEND,
         phase: str | None = None,
     ) -> np.ndarray:
-        """Run ``C = A @ dequant(B)`` through a registered backend.
+        """Run ``C = A @ dequant(B)`` through one backend.
 
         Args:
             a: ``[m, k]`` activations (rounded to FP16 on entry).
-            backend: a registered backend name
-                (:func:`repro.engine.backend_names`).
+            backend: a backend name (:func:`repro.engine.backend_names`).
             phase: optional pipeline phase label (``"prefill"`` /
                 ``"decode"`` / ``"verify"``) recorded alongside the row
                 count, so :meth:`row_stats` can report the histogram of
@@ -210,8 +210,7 @@ class GemmPlan:
         Returns:
             ``[m, n]`` float64 outputs (FP32-accumulate semantics).
         """
-        from repro.engine.registry import get_backend
-
+        run = get_backend(backend)
         a = np.asarray(a)
         self.validate_activations(a)
         m = a.shape[0]
@@ -219,7 +218,7 @@ class GemmPlan:
         if phase is not None:
             key = (phase, m)
             self.phase_executions[key] = self.phase_executions.get(key, 0) + 1
-        return get_backend(backend).execute(a, self)
+        return run(a, self)
 
     def row_stats(self, phase: str | None = None) -> dict[int, int]:
         """``{m: executions}`` histogram over activation row counts.

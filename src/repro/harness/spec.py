@@ -55,7 +55,7 @@ class Job:
 
     @property
     def label(self) -> str:
-        """Human-readable id, e.g. ``table2[backend=fast,spec=g128]``."""
+        """Human-readable id, e.g. ``table2[backend=batched,spec=g128]``."""
         if not self.params:
             return self.experiment
         inner = ",".join(f"{k}={v}" for k, v in self.params)

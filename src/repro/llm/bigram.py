@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine import DEFAULT_BACKEND
 from repro.errors import ConfigError
 from repro.llm.corpus import SyntheticLanguage, _stationary_distribution
 from repro.quant.rtn import QuantizedMatrix
@@ -64,7 +65,7 @@ class BigramLm:
         # serving routes through repro.engine (see logits_quantized).
         return self.embedding[tokens].astype(np.float64) @ self.head
 
-    def serve(self, qhead, backend: str = "fast"):
+    def serve(self, qhead, backend: str = DEFAULT_BACKEND):
         """A :class:`~repro.model.session.MatrixSession` over the head.
 
         ``qhead`` is a :class:`~repro.quant.rtn.QuantizedMatrix` or a
@@ -78,14 +79,14 @@ class BigramLm:
         return MatrixSession(qhead, backend=backend, name="head")
 
     def logits_quantized(
-        self, tokens: np.ndarray, qhead: QuantizedMatrix, mode: str = "fast"
+        self, tokens: np.ndarray, qhead: QuantizedMatrix, mode: str = DEFAULT_BACKEND
     ) -> np.ndarray:
         """Logits through the PacQ hyper-asymmetric GEMM path.
 
         Routes through a single-matrix serving session
         (:meth:`serve`); plans for ``qhead`` are cached by the engine,
         so batched evaluation loops plan once and execute per batch.
-        ``mode`` is any registered backend name.  Callers that want
+        ``mode`` is an engine backend name.  Callers that want
         cumulative telemetry should hold their own :meth:`serve`
         session instead.
         """

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine import DEFAULT_BACKEND
 from repro.errors import ConfigError
 from repro.llm.bigram import BigramLm
 from repro.quant.groups import GroupSpec
@@ -32,7 +33,7 @@ def evaluate_perplexity(
     tokens: np.ndarray,
     batch: int = 256,
     quantized=None,
-    mode: str = "fast",
+    mode: str = DEFAULT_BACKEND,
 ) -> float:
     """Perplexity of a token stream, optionally through quantized weights.
 
@@ -41,8 +42,8 @@ def evaluate_perplexity(
     LM head; when given, every logits GEMM runs through one serving
     session (:meth:`repro.llm.bigram.BigramLm.serve`) over the
     execution engine (:mod:`repro.engine`) — the PacQ compute path.
-    The head is planned once and executed per batch; ``mode`` is any
-    registered backend name.
+    The head is planned once and executed per batch; ``mode`` is an
+    engine backend name.
     """
     session = None if quantized is None else model.serve(quantized, backend=mode)
     contexts = tokens[:-1]
@@ -79,12 +80,12 @@ def table2_rows(
     specs: tuple[GroupSpec, ...],
     bits: int = 4,
     symmetric: bool = False,
-    mode: str = "fast",
+    mode: str = DEFAULT_BACKEND,
 ) -> list[PerplexityRow]:
     """The Table II sweep: FP16 reference + each group geometry.
 
     ``mode`` selects the engine backend every quantized GEMM runs
-    through (``"fast"``/``"batched"`` are bit-identical).
+    through (``"batched"``/``"bitexact"`` are bit-identical).
     """
     rows = [
         PerplexityRow("fp16", None, evaluate_perplexity(model, tokens))

@@ -42,7 +42,7 @@ trailing *exact zeros* (masked attention columns) do not perturb it.
 BLAS ``@`` has neither property (its accumulation blocking depends on
 the batch dimension), which is why it is not used on this path.  The
 quantized linears keep the same guarantee because the engine's
-``fast``/``batched``/``bitexact`` backends compute each activation row
+``batched``/``bitexact`` backends compute each activation row
 independently (``reference`` is BLAS-backed and excluded).
 
 The implementation favours clarity over speed; dimensions are kept
@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine import plan_gemm
+from repro.engine import DEFAULT_BACKEND, get_backend, plan_gemm
 from repro.errors import ConfigError
 from repro.quant.groups import GroupSpec
 from repro.quant.rtn import QuantizedMatrix
@@ -455,10 +455,11 @@ class Decoder:
     through the GEMM execution engine (:mod:`repro.engine`): each
     weight matrix is planned **once** at construction and the cached
     :class:`~repro.engine.GemmPlan` is executed per call, so per-token
-    decoding pays no repeated planning cost.  ``backend`` selects any
-    registered engine backend (``"fast"`` by default; ``"batched"`` is
-    bit-identical).  Layers without a quantized matrix fall back to
-    FP16-rounded reference weights, cached at construction.
+    decoding pays no repeated planning cost.  ``backend`` names the
+    engine backend (:data:`~repro.engine.DEFAULT_BACKEND` by default);
+    an unknown name fails here, not at the first GEMM.  Layers without
+    a quantized matrix fall back to FP16-rounded reference weights,
+    cached at construction.
 
     A model-level quantized bundle also carries AWQ equalization
     scales; the corresponding activations are divided by them before
@@ -475,8 +476,9 @@ class Decoder:
         config: TransformerConfig,
         weights: DecoderWeights,
         quantized: "dict[str, QuantizedMatrix] | object | None" = None,
-        backend: str = "fast",
+        backend: str = DEFAULT_BACKEND,
     ) -> None:
+        get_backend(backend)
         self.config = config
         self.weights = weights
         self.backend = backend

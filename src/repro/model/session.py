@@ -33,7 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine import diff_plan_histograms, plan_dims, plan_gemm, plan_histograms
+from repro.engine import (
+    DEFAULT_BACKEND,
+    diff_plan_histograms,
+    get_backend,
+    plan_dims,
+    plan_gemm,
+    plan_histograms,
+)
 from repro.errors import ConfigError
 from repro.llm.transformer import Decoder, DecoderWeights, TransformerConfig
 from repro.model.policy import QuantizedModel
@@ -204,7 +211,10 @@ class MatrixSession:
     — the fold-upstream deployment applied at runtime).
     """
 
-    def __init__(self, quantized, backend: str = "fast", name: str = "gemm") -> None:
+    def __init__(
+        self, quantized, backend: str = DEFAULT_BACKEND, name: str = "gemm"
+    ) -> None:
+        get_backend(backend)
         matrix = getattr(quantized, "matrix", quantized)
         scales = getattr(quantized, "channel_scales", None)
         self.name = getattr(quantized, "name", None) or name
@@ -258,7 +268,7 @@ class InferenceSession:
     def __init__(
         self,
         model: QuantizedModel,
-        backend: str = "fast",
+        backend: str = DEFAULT_BACKEND,
         config: TransformerConfig | None = None,
         weights: DecoderWeights | None = None,
     ) -> None:
@@ -283,7 +293,9 @@ class InferenceSession:
         return Telemetry.since(self.decoder.plans, self._ledger_start)
 
     @classmethod
-    def from_checkpoint(cls, path, backend: str = "fast") -> "InferenceSession":
+    def from_checkpoint(
+        cls, path, backend: str = DEFAULT_BACKEND
+    ) -> "InferenceSession":
         """Load a :func:`repro.model.checkpoint.save_model` directory."""
         from repro.model.checkpoint import load_model
 

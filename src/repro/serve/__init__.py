@@ -35,7 +35,7 @@ Typical use::
 
     from repro.serve import BatchedSession, Request, Scheduler
 
-    session = BatchedSession(qmodel, backend="fast", max_slots=8)
+    session = BatchedSession(qmodel, max_slots=8)
     scheduler = Scheduler(session, max_batch=8)
     scheduler.submit(Request(prompt, max_new=32, top_k=8, seed=0))
     while scheduler.step():

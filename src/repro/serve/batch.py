@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.engine import plan_histograms
+from repro.engine import DEFAULT_BACKEND, plan_histograms
 from repro.errors import ConfigError
 from repro.llm.transformer import (
     BatchedKVCache,
@@ -74,7 +74,7 @@ class BatchedSession:
     def __init__(
         self,
         model: QuantizedModel,
-        backend: str = "fast",
+        backend: str = DEFAULT_BACKEND,
         max_slots: int = 8,
         capacity: int | None = None,
         config: TransformerConfig | None = None,
@@ -107,7 +107,7 @@ class BatchedSession:
     def from_checkpoint(
         cls,
         path,
-        backend: str = "fast",
+        backend: str = DEFAULT_BACKEND,
         max_slots: int = 8,
         capacity: int | None = None,
         prefix_cache: RadixPrefixCache | None = None,

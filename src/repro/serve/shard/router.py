@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.procutil import spawn_worker
+from repro.engine.backends import DEFAULT_BACKEND, get_backend
 from repro.engine.plan import (
     diff_plan_histograms,
     merge_plan_histograms,
@@ -252,7 +253,7 @@ class Router:
         checkpoint,
         workers: int,
         *,
-        backend: str = "fast",
+        backend: str = DEFAULT_BACKEND,
         max_slots: int = 8,
         capacity: int | None = None,
         prefill_chunk: int | None = None,
@@ -260,6 +261,7 @@ class Router:
     ) -> None:
         if workers < 1:
             raise ConfigError(f"router needs >= 1 worker, got {workers}")
+        get_backend(backend)  # fail before spawning, not in every worker
         self.workers = workers
         self._procs = []
         self._conns = []

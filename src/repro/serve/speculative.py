@@ -58,6 +58,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from repro.engine import DEFAULT_BACKEND
 from repro.errors import ConfigError
 from repro.llm.bigram import BigramLm
 from repro.llm.transformer import (
@@ -193,7 +194,7 @@ class SessionDraft:
     def __init__(
         self,
         model,
-        backend: str = "fast",
+        backend: str = DEFAULT_BACKEND,
         max_slots: int = 8,
         config: TransformerConfig | None = None,
         weights: DecoderWeights | None = None,
@@ -380,7 +381,7 @@ class SpeculativeSession:
         model,
         draft: DraftModel,
         k: int,
-        backend: str = "fast",
+        backend: str = DEFAULT_BACKEND,
         config: TransformerConfig | None = None,
         weights: DecoderWeights | None = None,
     ) -> None:

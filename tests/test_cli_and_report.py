@@ -55,10 +55,12 @@ class TestCli:
         assert "0.368" in out
 
     def test_backends_listing(self, capsys):
-        assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        for name in ("reference", "fast", "batched", "bitexact"):
-            assert name in out
+        # No listing command: an invalid --backend names every backend.
+        with pytest.raises(SystemExit):
+            main(["table2", "--backend", "fast"])
+        err = capsys.readouterr().err
+        for name in ("reference", "batched", "bitexact", "bitexact-scalar"):
+            assert repr(name) in err
 
     def test_backend_flag_accepted(self, capsys):
         # fig7a does not take a backend; the flag must still parse.

@@ -33,7 +33,6 @@ SERVE_ARGS = [
     "--n-layers", "2", "--d-ffn", "64", "--max-seq", "96",
     "--prompt-len", "4,20", "--max-new", "2,6",
     "--shared-prefix", "12", "--shared-fraction", "0.75",
-    "--backend", "fast",
 ]
 
 

@@ -38,6 +38,7 @@ def _datapath_envelope(a, qm):
 
 
 class TestAgainstDequantReference:
+    @pytest.mark.usefixtures("fast_kernel")
     @pytest.mark.parametrize("mode", ["fast", "batched"])
     @pytest.mark.parametrize("bits", [4, 2])
     @pytest.mark.parametrize("symmetric", [False, True])
@@ -68,6 +69,9 @@ class TestAgainstDequantReference:
 
 
 class TestBitexactMode:
+    """``batched`` and its fallback kernel ``fast`` against ``bitexact``."""
+
+    @pytest.mark.usefixtures("fast_kernel")
     @pytest.mark.parametrize("mode", ["fast", "batched"])
     def test_fast_and_bitexact_agree(self, mode):
         a, _, qm = _setup(m=2, k=16, n=8, group=GroupSpec(8, 4))
@@ -75,6 +79,7 @@ class TestBitexactMode:
         exact = hyper_gemm(a, qm, mode="bitexact")
         assert np.allclose(fast, exact, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.usefixtures("fast_kernel")
     @pytest.mark.parametrize("mode", ["fast", "batched"])
     def test_fast_and_bitexact_agree_int2(self, mode):
         a, _, qm = _setup(m=2, k=16, n=8, bits=2, group=GroupSpec(8, 4))
@@ -82,6 +87,7 @@ class TestBitexactMode:
         exact = hyper_gemm(a, qm, mode="bitexact")
         assert np.allclose(fast, exact, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.usefixtures("fast_kernel")
     def test_batched_bit_identical_with_fast_on_suite_matrices(self):
         for bits in (4, 2):
             for symmetric in (False, True):
@@ -95,9 +101,9 @@ class TestBitexactMode:
     @settings(max_examples=20, deadline=None)
     def test_agreement_property(self, seed):
         a, _, qm = _setup(m=1, k=8, n=8, group=GroupSpec(8, 4), seed=seed)
-        fast = hyper_gemm(a, qm, mode="fast")
+        batched = hyper_gemm(a, qm)
         exact = hyper_gemm(a, qm, mode="bitexact")
-        assert np.allclose(fast, exact, rtol=1e-12, atol=1e-12)
+        assert np.allclose(batched, exact, rtol=1e-12, atol=1e-12)
 
 
 class TestValidation:
@@ -167,6 +173,7 @@ class TestDatapathSaturation:
     public ``hyper_gemm`` wrapper.
     """
 
+    @pytest.mark.usefixtures("fast_kernel")
     @pytest.mark.parametrize("mode", ["fast", "batched", "bitexact"])
     def test_large_activations_saturate_transformed_products(self, mode):
         _, _, qm = _setup()
@@ -174,6 +181,7 @@ class TestDatapathSaturation:
         out = hyper_gemm(a, qm, mode=mode)
         assert not np.all(np.isfinite(out))
 
+    @pytest.mark.usefixtures("fast_kernel")
     @pytest.mark.parametrize("mode", ["fast", "batched", "bitexact"])
     def test_safe_range_stays_finite(self, mode):
         _, _, qm = _setup()

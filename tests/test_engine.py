@@ -9,14 +9,13 @@ from repro.core.gemm import dequant_reference, hyper_gemm
 from repro.engine import (
     GemmPlan,
     backend_names,
+    backends,
     clear_plan_cache,
     get_backend,
-    list_backends,
     plan_cache_size,
     plan_gemm,
-    register_backend,
-    unregister_backend,
 )
+from repro.engine.backends import execute_fast
 from repro.errors import QuantizationError
 from repro.quant.groups import GroupSpec
 from repro.quant.packing import PackDim
@@ -33,50 +32,22 @@ def _setup(m=4, k=32, n=16, bits=4, group=None, seed=0, symmetric=False):
 
 
 class TestRegistry:
+    """The backend table: four names, one lookup."""
+
     def test_builtin_backends_registered(self):
-        assert {
-            "reference", "fast", "batched", "bitexact", "bitexact-scalar"
-        } <= set(backend_names())
+        assert backend_names() == [
+            "batched", "bitexact", "bitexact-scalar", "reference"
+        ]
 
     def test_get_backend_returns_record(self):
-        backend = get_backend("fast")
-        assert backend.name == "fast"
-        assert backend.transformed
-        assert not get_backend("reference").transformed
+        assert get_backend("batched") is backends.execute_batched
+        assert get_backend("reference") is backends.execute_reference
 
     def test_unknown_backend_raises(self):
-        with pytest.raises(QuantizationError):
+        with pytest.raises(QuantizationError, match="valid backends: batched, "):
             get_backend("warp-drive")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(QuantizationError):
-            register_backend("fast", lambda a, plan: None)
-
-    def test_list_backends_sorted_with_descriptions(self):
-        backends = list_backends()
-        assert [b.name for b in backends] == sorted(b.name for b in backends)
-        assert all(b.description for b in backends)
-
-    def test_custom_backend_roundtrip(self):
-        @register_backend("half-fast", description="fast scaled by 0.5")
-        def execute_half(a, plan):
-            return 0.5 * get_backend("fast").execute(a, plan)
-
-        try:
-            a, qm = _setup()
-            # Dispatches through hyper_gemm's mode= too (the public seam).
-            assert np.array_equal(
-                hyper_gemm(a, qm, mode="half-fast"),
-                0.5 * hyper_gemm(a, qm, mode="fast"),
-            )
-        finally:
-            unregister_backend("half-fast")
-        with pytest.raises(QuantizationError):
-            get_backend("half-fast")
-
-    def test_unregister_unknown_raises(self):
-        with pytest.raises(QuantizationError):
-            unregister_backend("never-registered")
+        with pytest.raises(QuantizationError, match="'fast'"):
+            get_backend("fast")  # batched's fallback kernel, not a backend
 
 
 class TestPlanCache:
@@ -153,7 +124,11 @@ class TestPlanState:
 
 
 class TestCrossBackendAgreement:
-    """``fast`` / ``batched`` / ``reference`` contracts (satellite task)."""
+    """``batched`` / ``bitexact`` / ``reference`` contracts.
+
+    ``execute_fast`` is ``batched``'s per-k-group fallback kernel; it is
+    called directly as the oracle of the contraction.
+    """
 
     @pytest.mark.parametrize("bits", [4, 2])
     @pytest.mark.parametrize("symmetric", [False, True])
@@ -163,7 +138,7 @@ class TestCrossBackendAgreement:
     def test_batched_bitexact_with_fast(self, bits, symmetric, group):
         a, qm = _setup(m=5, k=32, n=16, bits=bits, group=group, symmetric=symmetric)
         plan = plan_gemm(qm)
-        fast = plan.execute(a, backend="fast")
+        fast = execute_fast(a, plan)
         batched = plan.execute(a, backend="batched")
         assert np.array_equal(fast, batched)
 
@@ -176,15 +151,13 @@ class TestCrossBackendAgreement:
     )
     @settings(max_examples=40, deadline=None)
     def test_agreement_property(self, seed, bits, gk, gn, symmetric):
-        """fast == batched bit-for-bit on random INT4/INT2 group specs."""
+        """execute_fast == batched bit-for-bit on random INT4/INT2 group specs."""
         a, qm = _setup(
             m=3, k=4 * gk, n=2 * max(gn, 4), bits=bits,
             group=GroupSpec(gk, gn), seed=seed, symmetric=symmetric,
         )
         plan = plan_gemm(qm)
-        assert np.array_equal(
-            plan.execute(a, backend="fast"), plan.execute(a, backend="batched")
-        )
+        assert np.array_equal(execute_fast(a, plan), plan.execute(a, backend="batched"))
 
     def test_batched_matches_bit_level_multiplier(self):
         a, qm = _setup(m=2, k=16, n=8, group=GroupSpec(8, 4))
@@ -215,7 +188,7 @@ class TestCrossBackendAgreement:
         a, qm = _setup(m=8, k=128, n=128, bits=bits, group=GroupSpec(32, 4))
         plan = plan_gemm(qm)
         bitexact = plan.execute(a, backend="bitexact")
-        assert np.array_equal(bitexact, plan.execute(a, backend="fast"))
+        assert np.array_equal(bitexact, execute_fast(a, plan))
         assert np.array_equal(bitexact, plan.execute(a, backend="batched"))
 
     def test_bitexact_oracle_agreement_beyond_exact_sum_ceiling(self):
@@ -259,44 +232,42 @@ class TestCrossBackendAgreement:
         )
         a = rng.normal(size=(2, 8192))
         plan = plan_gemm(qm)
-        assert np.array_equal(
-            plan.execute(a, backend="fast"), plan.execute(a, backend="batched")
-        )
+        assert np.array_equal(execute_fast(a, plan), plan.execute(a, backend="batched"))
 
     def test_onehot_memory_ceiling_falls_back_bit_exactly(self, monkeypatch):
         # Matrices whose indicator operand would blow the memory ceiling
         # take the slab path and never build the indicator.
-        from repro.engine import backends
-
         monkeypatch.setattr(backends, "_BATCHED_MAX_ONEHOT_BYTES", 1024)
         a, qm = _setup()
         plan = GemmPlan(qm)  # uncached: inspect this plan's lazy state
         assert plan.onehot_nbytes > 1024
         batched = backends.execute_batched(a, plan)
         assert plan._onehot is None  # fallback skipped the indicator build
-        assert np.array_equal(plan.execute(a, backend="fast"), batched)
+        assert np.array_equal(execute_fast(a, plan), batched)
 
 
 class TestSaturationAcrossBackends:
-    """The documented FP16 overflow edge, for every registered backend.
+    """The documented FP16 overflow edge, for every backend.
 
     ``|A| > 65504 / 1039 ~ 63`` saturates transformed products to inf,
-    so every backend that routes through the transformed-weight
-    datapath must go non-finite; backends that skip the transform
-    (``reference``) must stay finite.
+    so every backend except ``reference`` (and ``batched``'s fallback
+    kernel ``fast``) must go non-finite; ``reference`` skips the
+    transform and must stay finite.
     """
 
-    @pytest.mark.parametrize("name", sorted(backend_names()))
+    @pytest.mark.usefixtures("fast_kernel")
+    @pytest.mark.parametrize("name", sorted([*backend_names(), "fast"]))
     def test_large_activations(self, name):
         _, qm = _setup()
         plan = plan_gemm(qm)
         out = plan.execute(np.full((1, 32), 70.0), backend=name)
-        if get_backend(name).transformed:
+        if name != "reference":
             assert not np.all(np.isfinite(out))
         else:
             assert np.all(np.isfinite(out))
 
-    @pytest.mark.parametrize("name", sorted(backend_names()))
+    @pytest.mark.usefixtures("fast_kernel")
+    @pytest.mark.parametrize("name", sorted([*backend_names(), "fast"]))
     def test_safe_range_stays_finite(self, name):
         _, qm = _setup()
         plan = plan_gemm(qm)
@@ -310,7 +281,7 @@ class TestSaturationAcrossBackends:
         a = rng.normal(size=(3, 32)) * 40.0  # straddles the ~63 edge
         _, qm = _setup()
         plan = plan_gemm(qm)
-        fast = plan.execute(a, backend="fast")
+        fast = execute_fast(a, plan)
         batched = plan.execute(a, backend="batched")
         assert np.array_equal(np.isnan(fast), np.isnan(batched))
         mask = ~np.isnan(fast)
@@ -318,16 +289,18 @@ class TestSaturationAcrossBackends:
 
     def test_saturating_input_identical_bitexact_vs_fast(self):
         # The vectorized datapath validator saturates lane products to
-        # infinity exactly where the fast path and scalar oracle do.
+        # infinity exactly where the slab kernel, batched and the scalar
+        # oracle do.
         rng = np.random.default_rng(7)
         a = rng.normal(size=(3, 32)) * 40.0
         _, qm = _setup()
         plan = plan_gemm(qm)
-        fast = plan.execute(a, backend="fast")
+        fast = execute_fast(a, plan)
+        batched = plan.execute(a, backend="batched")
         with np.errstate(invalid="ignore"):
             bitexact = plan.execute(a, backend="bitexact")
             scalar = plan.execute(a, backend="bitexact-scalar")
-        for other in (bitexact, scalar):
+        for other in (batched, bitexact, scalar):
             assert np.array_equal(np.isnan(fast), np.isnan(other))
             mask = ~np.isnan(fast)
             assert np.array_equal(fast[mask], other[mask])
@@ -344,8 +317,6 @@ class TestFastPath:
     """
 
     def test_no_fallback_and_plan_state_reused(self, monkeypatch):
-        from repro.engine import backends
-
         def slow_path(*args, **kwargs):
             raise AssertionError("fell off the fast path")
 
@@ -393,16 +364,16 @@ class TestDecoderIntegration:
         weights = init_weights(config, seed=0)
         quantized = quantize_weights(weights, bits=4)
         tokens = np.arange(8)
-        fast = Decoder(config, weights, quantized, backend="fast").forward(tokens)
-        batched = Decoder(config, weights, quantized, backend="batched").forward(tokens)
-        assert np.array_equal(fast, batched)
+        batched = Decoder(config, weights, quantized).forward(tokens)
+        bitexact = Decoder(config, weights, quantized, backend="bitexact").forward(tokens)
+        assert np.array_equal(batched, bitexact)
 
 
 class TestHyperGemmDispatch:
     def test_mode_batched_via_public_api(self):
         a, qm = _setup()
         assert np.array_equal(
-            hyper_gemm(a, qm, mode="batched"), hyper_gemm(a, qm, mode="fast")
+            hyper_gemm(a, qm, mode="batched"), hyper_gemm(a, qm, mode="bitexact")
         )
 
     def test_mode_reference_via_public_api(self):

@@ -44,7 +44,7 @@ def report_cache_dir(tmp_path_factory):
     return str(tmp_path_factory.mktemp("pacq-report-cache"))
 
 
-def small_jobs(backends=("fast", "batched"), specs=("g128", "g[32,4]")):
+def small_jobs(backends=("batched", "reference"), specs=("g128", "g[32,4]")):
     spec = SweepSpec.make(
         ["table2"],
         grid={"backend": list(backends), "spec": list(specs)},
@@ -60,7 +60,7 @@ class TestSweepSpec:
     def test_axes_filtered_per_experiment(self):
         # fig9 takes no parameters: the backend axis must not apply.
         spec = SweepSpec.make(
-            ["fig9", "table2"], grid={"backend": ["fast", "batched"]}, base=SMALL
+            ["fig9", "table2"], grid={"backend": ["batched", "reference"]}, base=SMALL
         )
         jobs = spec.jobs()
         assert [j.experiment for j in jobs] == ["fig9", "table2", "table2"]
@@ -79,8 +79,8 @@ class TestSweepSpec:
             SweepSpec.make([]).jobs()
 
     def test_job_label_and_slug(self):
-        job = Job.make("table2", {"backend": "fast", "spec": "g[32,4]"})
-        assert job.label == "table2[backend=fast,spec=g[32,4]]"
+        job = Job.make("table2", {"backend": "batched", "spec": "g[32,4]"})
+        assert job.label == "table2[backend=batched,spec=g[32,4]]"
         assert "/" not in job.slug and "," not in job.slug
 
     def test_default_sweep_covers_backends_x_specs(self):
@@ -97,7 +97,7 @@ class TestSweepSpec:
 
 class TestResultCache:
     def job(self):
-        return Job.make("table2", dict(SMALL, backend="fast", spec="g128"))
+        return Job.make("table2", dict(SMALL, backend="batched", spec="g128"))
 
     def result(self):
         return ExperimentResult(
@@ -116,7 +116,7 @@ class TestResultCache:
     def test_param_change_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(self.job(), self.result())
-        other = Job.make("table2", dict(SMALL, backend="batched", spec="g128"))
+        other = Job.make("table2", dict(SMALL, backend="bitexact", spec="g128"))
         assert cache.get(other) is None
 
     def test_code_version_change_invalidates(self, tmp_path, monkeypatch):
@@ -163,7 +163,7 @@ class TestExecutor:
         ]
 
     def test_second_run_is_fully_cached(self, tmp_path):
-        jobs = small_jobs(backends=("fast",), specs=("g128",))
+        jobs = small_jobs(backends=("batched",), specs=("g128",))
         cache = ResultCache(tmp_path)
         first = run_jobs(jobs, cache=cache)
         second = run_jobs(jobs, cache=cache)
@@ -172,7 +172,7 @@ class TestExecutor:
         assert first[0].result == second[0].result
 
     def test_force_reruns_despite_cache(self, tmp_path):
-        jobs = small_jobs(backends=("fast",), specs=("g128",))
+        jobs = small_jobs(backends=("batched",), specs=("g128",))
         cache = ResultCache(tmp_path)
         run_jobs(jobs, cache=cache)
         again = run_jobs(jobs, cache=cache, force=True)
@@ -288,8 +288,11 @@ class TestCliCompat:
 
     def test_legacy_table1_and_backends(self, capsys):
         assert main(["table1"]) == 0
-        assert main(["backends"]) == 0
-        assert "batched" in capsys.readouterr().out
+        assert "table1" in capsys.readouterr().out
+        # The backend listing command is gone: --backend's choices name
+        # the backends instead.
+        with pytest.raises(SystemExit):
+            main(["backends"])
 
     def test_run_subcommand_equivalent(self, capsys):
         assert main(["run", "fig9"]) == 0
@@ -303,7 +306,7 @@ class TestCliCompat:
         argv = [
             "sweep",
             "--experiments", "table2",
-            "--grid", "backend=fast,batched",
+            "--grid", "backend=batched,reference",
             "--set", "vocab=64", "--set", "d_model=256",
             "--set", "corpus_len=64", "--set", "spec=g128",
             "--cache-dir", str(tmp_path),

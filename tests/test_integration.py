@@ -110,18 +110,19 @@ class TestLlmThroughGemmPath:
         lm = make_bigram_lm(vocab=64, d_model=128, seed=1)
         tokens = sample_tokens(lm.language(), 256, seed=2)
         qhead = quantize_rtn(lm.head, 4, GroupSpec(32, 4))
-        ppl_fast = evaluate_perplexity(lm, tokens, quantized=qhead, mode="fast")
+        ppl = evaluate_perplexity(lm, tokens, quantized=qhead)
         base = evaluate_perplexity(lm, tokens)
-        assert ppl_fast >= base * 0.99
-        assert ppl_fast < base * 3.0  # degradation bounded
+        assert ppl >= base * 0.99
+        assert ppl < base * 3.0  # degradation bounded
 
     def test_fast_and_bitexact_perplexity_agree(self):
+        # The default backend (batched) against the bit-level oracle.
         lm = make_bigram_lm(vocab=16, d_model=16, seed=4)
         tokens = sample_tokens(lm.language(), 24, seed=6)
         qhead = quantize_rtn(lm.head, 4, GroupSpec(8, 4))
-        fast = evaluate_perplexity(lm, tokens, quantized=qhead, mode="fast")
+        batched = evaluate_perplexity(lm, tokens, quantized=qhead)
         exact = evaluate_perplexity(lm, tokens, quantized=qhead, mode="bitexact")
-        assert fast == pytest.approx(exact, rel=1e-9)
+        assert batched == pytest.approx(exact, rel=1e-9)
 
 
 class TestErrorHierarchy:

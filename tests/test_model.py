@@ -251,8 +251,8 @@ class TestCheckpoint:
 
     def test_round_trip_generation_identical(self, saved):
         _, _, model, path = saved
-        a = InferenceSession(model, backend="fast")
-        b = InferenceSession.from_checkpoint(path, backend="fast")
+        a = InferenceSession(model)
+        b = InferenceSession.from_checkpoint(path)
         prompt = np.asarray([1, 5, 9])
         ra = a.generate(prompt, 12, top_k=6, seed=11)
         rb = b.generate(prompt, 12, top_k=6, seed=11)

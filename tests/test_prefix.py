@@ -22,7 +22,9 @@ from repro.serve import (
 )
 
 #: Backends with the row-independence guarantee ("reference" is
-#: BLAS-backed and excluded) — same set as tests/test_serve.py.
+#: BLAS-backed and excluded), plus batched's fallback kernel "fast"
+#: (the ``fast_kernel`` fixture serves it) — same set as
+#: tests/test_serve.py.
 BACKENDS = ("fast", "batched", "bitexact")
 
 
@@ -174,7 +176,7 @@ class TestCopyOnWrite:
 class TestSnapshotCopyInto:
     def test_resume_from_snapshot_is_bit_identical(self, setup):
         config, weights, qmodel = setup
-        decoder = Decoder(config, weights, qmodel, backend="fast")
+        decoder = Decoder(config, weights, qmodel)
         prompt = np.arange(10) % config.vocab
         cache = decoder.init_batched_cache(2, capacity=16)
         a = cache.allocate()
@@ -197,7 +199,7 @@ class TestSnapshotCopyInto:
 
     def test_copy_into_rejects_busy_slot_and_bad_shapes(self, setup):
         config, weights, qmodel = setup
-        decoder = Decoder(config, weights, qmodel, backend="fast")
+        decoder = Decoder(config, weights, qmodel)
         cache = decoder.init_batched_cache(2, capacity=16)
         a = cache.allocate()
         decoder.prefill_ragged([np.arange(4)], cache, [a])
@@ -214,6 +216,7 @@ class TestSnapshotCopyInto:
 class TestBitIdentityWithCache:
     """Cache on == cache off, to the last bit, on every backend."""
 
+    @pytest.mark.usefixtures("fast_kernel")
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_partial_prefix_hit_matches_reference(self, setup, backend):
         config, _, qmodel = setup
@@ -246,6 +249,7 @@ class TestBitIdentityWithCache:
             batch = session.decode_step([slots[1]], [token])
             assert np.array_equal(batch[0], single.decode_step(token))
 
+    @pytest.mark.usefixtures("fast_kernel")
     @pytest.mark.parametrize("backend", ("fast", "batched"))
     def test_full_prompt_cached_still_samples(self, setup, backend):
         """Reuse is capped at len-1: an identical prompt re-prefills
@@ -281,7 +285,7 @@ class TestBitIdentityWithCache:
             capacity=32,
             prefix_cache=RadixPrefixCache(5 * kv_bytes_per_token),
         )
-        reference = InferenceSession(qmodel, backend="fast")
+        reference = InferenceSession(qmodel)
         expect = reference.prefill(prompt)[-1]
         for _ in range(3):
             slots, last = session.join([prompt])
@@ -289,6 +293,7 @@ class TestBitIdentityWithCache:
             session.retire(slots[0])
         assert session.prefix_cache.stats().evictions >= 1
 
+    @pytest.mark.usefixtures("fast_kernel")
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_scheduler_streams_identical_cache_on_off(self, setup, backend):
         config, _, qmodel = setup

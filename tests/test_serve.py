@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import DEFAULT_BACKEND
 from repro.errors import ConfigError, RequestError
 from repro.llm.transformer import (
     BatchedKVCache,
@@ -22,7 +23,8 @@ from repro.serve import (
 
 #: Engine backends whose kernels compute each activation row
 #: independently of the batch (the bit-identity guarantee; "reference"
-#: is BLAS-backed and excluded).
+#: is BLAS-backed and excluded), plus batched's fallback kernel "fast"
+#: (the ``fast_kernel`` fixture serves it).
 BACKENDS = ("fast", "batched", "bitexact")
 
 
@@ -38,7 +40,7 @@ def setup():
     return config, weights, qmodel
 
 
-def make_session(qmodel, backend="fast", max_slots=4, capacity=16):
+def make_session(qmodel, backend=DEFAULT_BACKEND, max_slots=4, capacity=16):
     return BatchedSession(
         qmodel, backend=backend, max_slots=max_slots, capacity=capacity
     )
@@ -95,6 +97,7 @@ class TestBatchedKVCache:
 class TestBitIdentity:
     """Batched multi-sequence decode == single-sequence decode, per row."""
 
+    @pytest.mark.usefixtures("fast_kernel")
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_ragged_prefill_matches_single(self, setup, backend):
         config, weights, qmodel = setup
@@ -109,6 +112,7 @@ class TestBitIdentity:
         for i, rows in enumerate(ragged):
             assert np.array_equal(rows, singles[i]), (backend, i)
 
+    @pytest.mark.usefixtures("fast_kernel")
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_lockstep_decode_matches_single(self, setup, backend):
         config, weights, qmodel = setup
@@ -135,10 +139,10 @@ class TestBitIdentity:
     def test_join_retire_midstream(self, setup):
         """Evict one sequence mid-decode, join another; rows stay exact."""
         config, weights, qmodel = setup
-        decoder = Decoder(config, weights, qmodel, backend="fast")
+        decoder = Decoder(config, weights, qmodel)
         rng = np.random.default_rng(2)
         prompts = [rng.integers(0, config.vocab, size=n) for n in (6, 4, 8)]
-        solos = [InferenceSession(qmodel, backend="fast") for _ in prompts]
+        solos = [InferenceSession(qmodel) for _ in prompts]
         for solo, prompt in zip(solos, prompts, strict=True):
             solo.prefill(prompt)
         batched_cache = decoder.init_batched_cache(3, capacity=16)
@@ -163,9 +167,9 @@ class TestBitIdentity:
     def test_decode_batch_with_grow(self, setup):
         """Capacity growth mid-stream does not perturb the rows."""
         config, weights, qmodel = setup
-        decoder = Decoder(config, weights, qmodel, backend="fast")
+        decoder = Decoder(config, weights, qmodel)
         prompt = np.arange(6) % config.vocab
-        single = InferenceSession(qmodel, backend="fast")
+        single = InferenceSession(qmodel)
         single.prefill(prompt)
         cache = decoder.init_batched_cache(1, capacity=7)
         slot = cache.allocate()
@@ -180,7 +184,7 @@ class TestBatchedSession:
     def test_join_returns_last_rows(self, setup):
         config, _, qmodel = setup
         session = make_session(qmodel)
-        reference = InferenceSession(qmodel, backend="fast")
+        reference = InferenceSession(qmodel)
         prompts = [np.arange(5) % config.vocab, np.arange(3) % config.vocab]
         slots, last = session.join(prompts)
         assert len(slots) == 2 and last.shape == (2, config.vocab)
@@ -237,7 +241,7 @@ class TestScheduler:
         results = scheduler.run(requests)
         assert [r.request_id for r in results] == list(range(6))
         for request, result in zip(requests, results, strict=False):
-            single = InferenceSession(qmodel, backend="fast").generate(
+            single = InferenceSession(qmodel).generate(
                 request.prompt,
                 request.max_new,
                 top_k=request.top_k,
@@ -479,7 +483,7 @@ class TestSlotChurn:
 
         def admit_one():
             prompt = rng.integers(0, config.vocab, size=int(rng.integers(3, 9)))
-            reference = InferenceSession(qmodel, backend="fast")
+            reference = InferenceSession(qmodel)
             expect = reference.prefill(prompt)[-1]
             slots, last = session.join([prompt])
             assert np.array_equal(last[0], expect)

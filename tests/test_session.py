@@ -40,7 +40,8 @@ class TestKvCacheBitIdentity:
 
     #: Engine backends whose kernels compute each activation row
     #: independently of the batch ("reference" is BLAS-backed and
-    #: carries no such guarantee).
+    #: carries no such guarantee), plus batched's fallback kernel
+    #: "fast" (the ``fast_kernel`` fixture serves it).
     BACKENDS = ("fast", "batched", "bitexact")
 
     @staticmethod
@@ -52,6 +53,7 @@ class TestKvCacheBitIdentity:
             assert np.array_equal(step, full[cut + i]), i
         assert session.position == tokens.shape[0]
 
+    @pytest.mark.usefixtures("fast_kernel")
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_steps_match_forward(self, setup, backend):
         config, weights, tokens, qmodel = setup
@@ -64,8 +66,8 @@ class TestKvCacheBitIdentity:
         # RoPE offsets exercised far from zero: prefill one token, then
         # step through a long tail one position at a time.
         config, weights, tokens, qmodel = setup
-        session = InferenceSession(qmodel, backend="fast")
-        decoder = Decoder(config, weights, qmodel, backend="fast")
+        session = InferenceSession(qmodel)
+        decoder = Decoder(config, weights, qmodel)
         self.assert_steps_match_forward(session, decoder, tokens, 1)
 
     def test_fp16_fallback_path(self, setup):
@@ -117,10 +119,10 @@ class TestKvCacheBitIdentity:
 class TestInferenceSession:
     def test_greedy_matches_repeated_full_forward(self, setup):
         config, weights, tokens, qmodel = setup
-        session = InferenceSession(qmodel, backend="fast")
+        session = InferenceSession(qmodel)
         result = session.generate(tokens[:6], 10)
 
-        decoder = Decoder(config, weights, qmodel, backend="fast")
+        decoder = Decoder(config, weights, qmodel)
         seq = list(tokens[:6])
         for _ in range(10):
             logits = decoder.forward(np.asarray(seq))
@@ -202,8 +204,8 @@ class TestMatrixSession:
         lm = make_bigram_lm(vocab=32, d_model=64)
         qhead = quantize_rtn(lm.head, bits=4, group=GroupSpec(16, 4))
         tokens = np.arange(16) % lm.vocab
-        direct = lm.logits_quantized(tokens, qhead, mode="fast")
-        session = lm.serve(qhead, backend="fast")
+        direct = lm.logits_quantized(tokens, qhead)
+        session = lm.serve(qhead)
         via_session = session(lm.embedding[tokens])
         assert np.array_equal(direct, via_session)
         assert session.telemetry.gemm_calls == 1

@@ -169,9 +169,9 @@ class TestRouter:
         config, _, qmodel = setup
         requests = trace(config, count=6)
         single = Scheduler(
-            BatchedSession(qmodel, backend="fast", max_slots=4), max_batch=4
+            BatchedSession(qmodel, max_slots=4), max_batch=4
         ).run(list(requests))
-        with Router(checkpoint, workers=2, backend="fast", max_slots=4) as router:
+        with Router(checkpoint, workers=2, max_slots=4) as router:
             fleet = router.serve(list(requests))
         assert fleet.stats.completed == len(requests)
         for expect, got in zip(single, fleet.results, strict=False):
@@ -182,11 +182,11 @@ class TestRouter:
     def test_fleet_report_merges_telemetry(self, checkpoint, setup):
         config, _, qmodel = setup
         requests = trace(config, count=6)
-        with Router(checkpoint, workers=2, backend="fast", max_slots=4) as router:
+        with Router(checkpoint, workers=2, max_slots=4) as router:
             fleet = router.serve(list(requests))
         assert len(fleet.workers) == 2
         assert sum(len(w.results) for w in fleet.workers) == len(requests)
-        reference = BatchedSession(qmodel, backend="fast", max_slots=4)
+        reference = BatchedSession(qmodel, max_slots=4)
         Scheduler(reference, max_batch=4).run(list(requests))
         merged = Telemetry(fleet.merged_plan_rows(), fleet.plan_dims)
         expected = reference.telemetry
@@ -208,7 +208,7 @@ class TestRouter:
         config, _, _ = setup
         first_trace = trace(config, count=4, seed=7)
         second_trace = trace(config, count=4, seed=8)
-        with Router(checkpoint, workers=2, backend="fast", max_slots=4) as router:
+        with Router(checkpoint, workers=2, max_slots=4) as router:
             router.serve(list(first_trace))
             second = router.serve(list(second_trace))
         # A separately loaded model: its plans start from empty histograms.

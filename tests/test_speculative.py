@@ -16,6 +16,7 @@ the emitted tokens are bit-identical to plain
 import numpy as np
 import pytest
 
+from repro.engine import DEFAULT_BACKEND
 from repro.errors import ConfigError
 from repro.llm.transformer import (
     BatchedKVCache,
@@ -38,7 +39,8 @@ from repro.serve import (
 
 #: Backends whose kernels compute each activation row independently of
 #: the batch (the bit-identity guarantee; "reference" is BLAS-backed
-#: and excluded).
+#: and excluded), plus batched's fallback kernel "fast" (the
+#: ``fast_kernel`` fixture serves it).
 BACKENDS = ("fast", "batched", "bitexact")
 DRAFTS = ("bigram", "int2", "oracle", "adversarial", "flaky")
 KS = (1, 2, 4, 8)
@@ -79,25 +81,25 @@ class FlakyDraft:
 def drafts(setup):
     """name -> draft instance (drafts are deterministic per context)."""
     config, weights, qmodel = setup
-    decoder = Decoder(config, weights, qmodel, backend="fast")
-    oracle = SessionDraft(qmodel, backend="fast", max_slots=8)
+    decoder = Decoder(config, weights, qmodel)
+    oracle = SessionDraft(qmodel, max_slots=8)
     int2 = quantize_model(
         weights, parse_policy("*=int2@g[8,4]"), config=config
     )
     return {
         "bigram": BigramDraft.distill(decoder),
-        "int2": SessionDraft(int2, backend="fast", max_slots=8),
+        "int2": SessionDraft(int2, max_slots=8),
         "oracle": oracle,
         "adversarial": AdversarialDraft(
-            SessionDraft(qmodel, backend="fast", max_slots=8), config.vocab
+            SessionDraft(qmodel, max_slots=8), config.vocab
         ),
         "flaky": FlakyDraft(
-            SessionDraft(qmodel, backend="fast", max_slots=8), config.vocab
+            SessionDraft(qmodel, max_slots=8), config.vocab
         ),
     }
 
 
-def reference_stream(qmodel, prompt, max_new, backend="fast", eos=None):
+def reference_stream(qmodel, prompt, max_new, backend=DEFAULT_BACKEND, eos=None):
     """What plain generate emits (truncated at the first eos)."""
     tokens = InferenceSession(qmodel, backend=backend).generate(
         prompt, max_new
@@ -111,6 +113,7 @@ def reference_stream(qmodel, prompt, max_new, backend="fast", eos=None):
 class TestSessionIdentity:
     """SpeculativeSession == InferenceSession.generate, everywhere."""
 
+    @pytest.mark.usefixtures("fast_kernel")
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", DRAFTS)
     @pytest.mark.parametrize("k", KS)
@@ -225,7 +228,7 @@ class TestSchedulerSpeculation:
         ]
 
     def run(self, qmodel, requests, speculate=None, prefill_chunk=None):
-        session = BatchedSession(qmodel, backend="fast", max_slots=3)
+        session = BatchedSession(qmodel, max_slots=3)
         scheduler = Scheduler(
             session,
             max_batch=3,
@@ -292,14 +295,14 @@ class TestSchedulerSpeculation:
             def propose(self, context, k):
                 return np.zeros(k + 1, dtype=np.int64)
 
-        session = BatchedSession(qmodel, backend="fast", max_slots=2)
+        session = BatchedSession(qmodel, max_slots=2)
         scheduler = Scheduler(session, max_batch=2, speculate=(TooMany(), 2))
         with pytest.raises(ConfigError, match="at most 2"):
             scheduler.run([Request(prompt=np.arange(4) % config.vocab, max_new=8)])
 
     def test_speculate_validated(self, setup, drafts):
         _, _, qmodel = setup
-        session = BatchedSession(qmodel, backend="fast", max_slots=2)
+        session = BatchedSession(qmodel, max_slots=2)
         with pytest.raises(ConfigError, match="propose"):
             Scheduler(session, max_batch=2, speculate=(object(), 2))
         with pytest.raises(ConfigError, match=">= 0"):
@@ -335,7 +338,7 @@ class TestDrafts:
     def test_session_draft_prefix_reuse(self, setup):
         """Growing one context re-decodes only the fresh suffix."""
         config, weights, qmodel = setup
-        draft = SessionDraft(qmodel, backend="fast", max_slots=2)
+        draft = SessionDraft(qmodel, max_slots=2)
         context = np.arange(8) % config.vocab
         first = draft.propose(context, 3)
         plans = draft.decoder.plans
@@ -353,12 +356,12 @@ class TestDrafts:
         }
         assert max(grew.values()) <= 4  # 1 suffix pass + 2 decode steps
         # and the proposals still chain greedily off the new context
-        fresh = SessionDraft(qmodel, backend="fast", max_slots=2)
+        fresh = SessionDraft(qmodel, max_slots=2)
         assert np.array_equal(second, fresh.propose(grown, 3))
 
     def test_session_draft_respects_context_window(self, setup):
         config, _, qmodel = setup
-        draft = SessionDraft(qmodel, backend="fast", max_slots=1)
+        draft = SessionDraft(qmodel, max_slots=1)
         near_edge = np.zeros(config.max_seq - 2, dtype=np.int64)
         assert draft.propose(near_edge, 8).shape[0] == 2
         at_edge = np.zeros(config.max_seq, dtype=np.int64)
@@ -367,7 +370,7 @@ class TestDrafts:
     def test_session_draft_pool_eviction(self, setup):
         """More distinct contexts than slots: LRU eviction, same output."""
         config, _, qmodel = setup
-        small = SessionDraft(qmodel, backend="fast", max_slots=2)
+        small = SessionDraft(qmodel, max_slots=2)
         rng = np.random.default_rng(8)
         contexts = [rng.integers(0, config.vocab, size=6) for _ in range(4)]
         first = [small.propose(ctx, 2) for ctx in contexts]
@@ -441,7 +444,7 @@ class TestTruncate:
         """Decode 3, roll 2 back, decode 2 different tokens: every row
         matches a cache that never saw the rolled-back tokens."""
         config, weights, qmodel = setup
-        decoder = Decoder(config, weights, qmodel, backend="fast")
+        decoder = Decoder(config, weights, qmodel)
         prompt = np.arange(6) % config.vocab
         cache = decoder.init_batched_cache(1, capacity=16)
         slot = cache.allocate()
@@ -463,7 +466,7 @@ class TestTruncate:
         """snapshot sees the truncated length; a snapshot taken before
         a truncate restores the full prefix via copy_into."""
         config, weights, qmodel = setup
-        decoder = Decoder(config, weights, qmodel, backend="fast")
+        decoder = Decoder(config, weights, qmodel)
         prompt = np.arange(8) % config.vocab
         cache = decoder.init_batched_cache(2, capacity=16)
         slot = cache.allocate()
@@ -540,7 +543,7 @@ class TestPhaseTelemetry:
         qmodel = quantize_model(
             weights, parse_policy("*=int4@g[8,4]"), config=config
         )
-        decoder = Decoder(config, weights, qmodel, backend="fast")
+        decoder = Decoder(config, weights, qmodel)
         cache = decoder.init_batched_cache(3, capacity=16)
         slots = [cache.allocate() for _ in range(3)]
         prompts = [np.arange(4) % config.vocab for _ in range(3)]

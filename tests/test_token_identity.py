@@ -19,6 +19,7 @@ decisions; none of them may change a single emitted token.
 import numpy as np
 import pytest
 
+from repro.engine import DEFAULT_BACKEND
 from repro.llm.transformer import TransformerConfig, init_weights
 from repro.model import InferenceSession, parse_policy, quantize_model
 from repro.serve import (
@@ -85,21 +86,21 @@ def requests(setup):
 def make_draft(name, setup):
     config, weights, qmodel = setup
     if name == "bigram":
-        session = BatchedSession(qmodel, backend="fast", max_slots=1)
+        session = BatchedSession(qmodel, max_slots=1)
         return BigramDraft.distill(session.decoder)
     if name == "int2":
         low = quantize_model(
             weights, parse_policy("*=int2@g[8,4]"), config=config
         )
-        return SessionDraft(low, backend="fast", max_slots=4)
+        return SessionDraft(low, max_slots=4)
     if name == "adversarial":
         return AdversarialDraft(
-            SessionDraft(qmodel, backend="fast", max_slots=4), config.vocab
+            SessionDraft(qmodel, max_slots=4), config.vocab
         )
     raise AssertionError(name)
 
 
-def reference_streams(qmodel, requests, backend="fast"):
+def reference_streams(qmodel, requests, backend=DEFAULT_BACKEND):
     """Per-request (tokens, finish_reason) via InferenceSession."""
     out = []
     for request in requests:
@@ -132,7 +133,7 @@ def reference(setup, requests):
     return streams
 
 
-def scheduler_streams(setup, requests, path, backend="fast"):
+def scheduler_streams(setup, requests, path, backend=DEFAULT_BACKEND):
     config, _, qmodel = setup
     with_cache, chunk, draft_name, k = PATHS[path]
     session = BatchedSession(
@@ -170,15 +171,17 @@ class TestTokenIdentity:
         got = scheduler_streams(setup, requests, path, backend=backend)
         assert got == reference(backend)
 
+    @pytest.mark.usefixtures("fast_kernel")
     @pytest.mark.parametrize("backend", ("fast", "batched"))
-    def test_backends_agree_on_the_full_stack(self, setup, requests, backend):
-        """The everything-on path is identical per backend too."""
-        _, _, qmodel = setup
-        expect = reference_streams(qmodel, requests, backend=backend)
+    def test_backends_agree_on_the_full_stack(
+        self, setup, requests, reference, backend
+    ):
+        """The everything-on path on ``batched`` (and on its fallback
+        kernel ``fast``) serves the ``bitexact`` oracle's streams."""
         got = scheduler_streams(
             setup, requests, "everything-on", backend=backend
         )
-        assert got == expect
+        assert got == reference("bitexact")
 
     def test_speculative_session_matches_generate(self, setup, requests):
         """The single-sequence speculative API joins the same matrix."""
