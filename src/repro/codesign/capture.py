@@ -282,3 +282,43 @@ def load_capture(path: str | pathlib.Path) -> WorkloadCapture:
             )
         return WorkloadCapture.from_dict(block)
     return WorkloadCapture.from_dict(data)
+
+
+#: ``serve_sim`` record keys that hold wall-clock measurements, wherever
+#: they appear (``stats``, each ``results`` entry, each ``workers``
+#: entry).  They move from run to run; every other field — token
+#: streams, ``plan_rows``, the ``stats`` / ``prefix_cache`` counters,
+#: the ``codesign`` block — is a pure function of the seeded trace.
+WALL_CLOCK_FIELDS = frozenset(
+    {"elapsed_s", "tokens_per_s", "aggregate_tokens_per_s", "mean_queue_wait_s"}
+)
+
+
+def record_drift(committed: Any, fresh: Any, path: str = "") -> list[str]:
+    """Paths at which two ``serve_sim`` records differ.
+
+    Compares every field except :data:`WALL_CLOCK_FIELDS`, so an empty
+    list means the fresh run served the committed golden streams token
+    for token, with the same GEMM histograms and scheduler counters.
+    """
+    if isinstance(committed, dict) and isinstance(fresh, dict):
+        drift = []
+        for key in sorted(set(committed) | set(fresh), key=str):
+            if key in WALL_CLOCK_FIELDS:
+                continue
+            where = f"{path}.{key}"
+            if key not in committed or key not in fresh:
+                drift.append(f"{where}: present in only one record")
+            else:
+                drift += record_drift(committed[key], fresh[key], where)
+        return drift
+    if isinstance(committed, list) and isinstance(fresh, list):
+        if len(committed) != len(fresh):
+            return [f"{path}: length {len(committed)} != {len(fresh)}"]
+        drift = []
+        for i, (old, new) in enumerate(zip(committed, fresh)):
+            drift += record_drift(old, new, f"{path}[{i}]")
+        return drift
+    if committed != fresh or type(committed) is not type(fresh):
+        return [f"{path}: {committed!r} != {fresh!r}"]
+    return []

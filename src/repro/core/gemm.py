@@ -33,8 +33,9 @@ repeated calls (per-token decoding, perplexity sweeps) plan once and
 execute many times.  Backends:
 
 * ``"batched"`` (the default) — FP16-rounded transformed products with
-  wide accumulation (tensor-core FP32-accumulate behaviour), as one
-  batched channel-indicator contraction (BLAS); use for real workloads;
+  wide accumulation (tensor-core FP32-accumulate behaviour), gathered
+  from a table of every FP16 input's products and group-summed by a
+  sparse selector; use for real workloads;
 * ``"bitexact"`` — every product goes through the bit-level parallel
   multiplier of :mod:`repro.multiplier.parallel`, vectorized; the
   datapath oracle;

@@ -16,7 +16,7 @@ Backends:
 name            strategy                                         transformed
 =============== ================================================ ===========
 reference       dequantize to FP16, then matmul (baseline flow)  no
-batched         channel-indicator contraction (the default)      yes
+batched         CSR selector over a product table (the default)  yes
 bitexact        vectorized bit-level multiplier (the oracle)     yes
 bitexact-scalar per-element bit-level multiplier (slow oracle)   yes
 =============== ================================================ ===========

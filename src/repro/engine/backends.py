@@ -5,10 +5,12 @@ Every backend maps ``(activations, GemmPlan)`` to ``[m, n]`` float64:
 * ``reference`` — dequantize-then-matmul baseline (no transformed
   datapath, so no FP16 saturation edge);
 * ``batched`` (:data:`DEFAULT_BACKEND`) — PacQ's transformed-weight
-  datapath as one channel-indicator contraction per call (BLAS).  It
-  falls back to :func:`execute_fast`, the per-k-group slab path, where
-  the contraction cannot be exact; the two are bit-for-bit identical
-  (see the numerics notes inline);
+  datapath as a gather from :func:`product_table` (every FP16 input's
+  products) and one sparse selection by the plan's CSR
+  :attr:`~repro.engine.plan.GemmPlan.selector` per call.  It falls back
+  to :func:`execute_fast`, the per-k-group slab path, where the group
+  sums could round; the two are bit-for-bit identical (see the
+  numerics notes inline);
 * ``bitexact`` — every product through the bit-level parallel
   multiplier, vectorized over numpy integer lanes by
   :mod:`repro.fp.vec`; the datapath oracle, fast enough for real LLM
@@ -17,12 +19,13 @@ Every backend maps ``(activations, GemmPlan)`` to ``[m, n]`` float64:
   :func:`repro.multiplier.parallel.parallel_fp_int_mul`; kept as the
   oracle the vectorized ``bitexact`` is tested against.
 
-All transformed backends share the plan's precomputed slabs, so the
+All transformed backends share the plan's precomputed state, so the
 per-call cost is purely the product/accumulate work.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -85,84 +88,86 @@ def execute_fast(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
 #: 2**-24 granularity = 53 significand bits).
 _BATCHED_MAX_GROUP_K = 4096
 
-#: Ceiling on the cached channel-indicator operand (``channels * 8``
-#: bytes per weight element: 128 B for INT4, 32 B for INT2).  Matrices
-#: whose indicator would exceed this take the :func:`execute_fast` slab
-#: path instead of trading this much resident memory for the BLAS
-#: contraction.
-_BATCHED_MAX_ONEHOT_BYTES = 1 << 30
+@functools.cache
+def product_table(bits: int) -> np.ndarray:
+    """Every transformed-weight product of every FP16 activation.
+
+    ``table[p, c] == fp16(a * (1024 + c))`` for the FP16 value ``a``
+    whose bit pattern is ``p``, over all 65,536 patterns and all
+    ``2**bits`` channels: the ``2**bits`` lanes PacQ's parallel
+    multiplier produces for one activation, as float64 (8 MiB for
+    INT4, 2 MiB for INT2).  Built once per process and bit width by
+    the same float32-multiply-then-cast as :func:`execute_fast`; the
+    exhaustive engine test pins every entry to the bit-level datapath.
+    """
+    a32 = (
+        np.arange(1 << 16, dtype=np.uint32)
+        .astype(np.uint16)
+        .view(np.float16)
+        .astype(np.float32)
+    )
+    lut32 = 1024.0 + np.arange(1 << bits, dtype=np.float32)
+    # FP16 saturation is modelled; signalling-NaN inputs stay NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = (a32[:, None] * lut32[None, :]).astype(np.float16).astype(np.float64)
+    table.flags.writeable = False
+    return table
 
 
 def execute_batched(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
-    """All k-groups in one reshaped BLAS contraction, no Python loops.
+    """All k-groups in one sparse selection over the product table.
 
     A transformed weight takes only ``channels = 2**bits`` distinct
-    values (``1024 + c``), so every FP16-rounded product appears in the
-    small table ``table[m, k, c] = fp16(a[m, k] * (1024 + c))``.  The
-    per-group product sums of :func:`execute_fast` are then one batched
-    einsum ``[gk, m, group_k * channels] x [gk, group_k * channels, n]``
-    against the plan's 0/1 channel indicator (executed via
-    ``np.matmul`` -> BLAS), followed by a vectorized scale/adjust
-    application over the ``[gk, m, n]`` group partials.
+    values (``1024 + c``), so every FP16-rounded product this call
+    needs is an entry of :func:`product_table`.  The call gathers each
+    activation's row of it into a ``[k * channels, m]`` operand; the
+    plan's CSR :attr:`~repro.engine.plan.GemmPlan.selector` (one 1.0
+    per weight) then picks and group-sums one product per ``(k, n)``,
+    giving the ``[gk, n, m]`` group partials, and a vectorized
+    epilogue applies Eq. (1), scale and adjust.
 
     Bit-for-bit identical to :func:`execute_fast`:
 
     * the table entries are the same float32-multiply-then-cast
       FP16-rounded products :func:`execute_fast` computes;
-    * each contraction sums ``group_k`` FP16-exact float64 values (the
-      indicator zeros add exactly); such sums fit float64's 53-bit
-      significand for ``group_k <= 4096``, so BLAS reassociation
-      cannot change the result;
-    * the final reduction over ``gk`` is a strided float64 sum, which
-      NumPy evaluates in index order — the same left-to-right
-      accumulation as :func:`execute_fast`'s ``out +=`` loop (pinned by
-      the cross-backend property tests).
+    * each selector row adds its ``group_k`` products in stored order,
+      which is ascending k, whatever ``m`` is; the products are
+      FP16-exact float64 values whose sums are exact for ``group_k <=
+      4096``, so no order could round them anyway;
+    * CSR stores no zeros, so a saturated ``inf`` product never meets
+      ``inf * 0`` and sums to the same ``inf`` as the slab path;
+    * the final reduction over ``gk`` adds the groups in index order —
+      the same left-to-right accumulation as :func:`execute_fast`'s
+      ``out +=`` loop (pinned by the cross-backend property tests).
 
-    Activations large enough to saturate FP16 (``|A| * t_max`` at the
-    overflow boundary) would put ``inf`` into the table, and
-    ``inf * 0`` in the contraction is NaN rather than the datapath's
-    saturating ``inf`` — those calls, group extents beyond the
-    exactness ceiling, and matrices whose indicator operand would
-    exceed the memory ceiling all take the :func:`execute_fast` slab
-    path instead (identical results, including the documented
-    saturation behaviour).
+    Group extents beyond the exactness ceiling take the
+    :func:`execute_fast` slab path instead.
     """
-    a16 = np.asarray(a, dtype=np.float16)
-    a32 = a16.astype(np.float32)
-    t_max = float(plan.lut32[-1])
-    amax = float(np.abs(a32).max(initial=0.0))
-    if (
-        plan.group_k > _BATCHED_MAX_GROUP_K
-        or plan.onehot_nbytes > _BATCHED_MAX_ONEHOT_BYTES
-        or amax * t_max >= 65500.0
-    ):
+    if plan.group_k > _BATCHED_MAX_GROUP_K:
         return execute_fast(a, plan)
 
+    a16 = np.asarray(a, dtype=np.float16)
     m = a16.shape[0]
-    c = plan.channels
-    # Every possible FP16-rounded product of this call: [m, k, channels].
-    table = (a32[:, :, None] * plan.lut32[None, None, :]).astype(np.float16)
-    table_blk = np.ascontiguousarray(
-        table.astype(np.float64)
-        .reshape(m, plan.gk, plan.group_k * c)
-        .transpose(1, 0, 2)
-    )  # [gk, m, group_k * channels]
-    # detlint: ignore[D001]: indicator contraction — the selected FP16-exact
-    # products sum exactly in float64 (group_k <= _BATCHED_MAX_GROUP_K is
-    # enforced below), so BLAS blocking cannot change the bits.
-    s1 = np.matmul(table_blk, plan.onehot)  # [gk, m, n] group partial sums
+    # [k, m, channels] products, laid out as the selector's columns.
+    products = np.take(product_table(plan.bits), a16.T.view(np.uint16), axis=0)
+    operand = products.transpose(0, 2, 1).reshape(plan.k_dim * plan.channels, m)
+    # detlint: ignore[D001]: CSR selection, not BLAS — scipy's csr_matvecs
+    # adds each row's nonzeros in stored (ascending-k) order for every
+    # column, whatever m is.
+    acc = (plan.selector @ operand).reshape(plan.gk, plan.n_dim, m)
     a_blk = a16.astype(np.float64).reshape(m, plan.gk, plan.group_k)
     # detlint: ignore[D003]: reduces the k-group axis, whose length is fixed
     # by the plan — the order is the same for every batch row.
-    s_a = a_blk.sum(axis=2).T[:, :, None]  # [gk, m, 1] sum(A) accumulators
-    corrected = s1 - plan.offset * s_a  # Eq. (1): sum(A * signed)
-    contrib = plan.scale_rows[:, None, :] * (
-        corrected + plan.adjust_rows[:, None, :] * s_a
-    )
+    s_a = a_blk.sum(axis=2).T[:, None, :]  # [gk, 1, m] sum(A) accumulators
+    # In place on the [gk, n, m] group partials: the same operations, in
+    # the same order, as scale * ((s1 - offset * s_a) + adjust * s_a).
+    acc -= plan.offset * s_a  # Eq. (1): sum(A * signed)
+    acc += plan.adjust_rows[:, :, None] * s_a
+    acc *= plan.scale_rows[:, :, None]
     # detlint: ignore[D003]: reduces the gk group axis, whose length is fixed
     # by the plan alone — batch-independent; identity with execute_fast's
     # sequential accumulation is asserted bit-for-bit in tests.
-    return contrib.sum(axis=0)
+    return np.ascontiguousarray(acc.sum(axis=0).T)
 
 
 def _check_pack_alignment(plan: GemmPlan) -> None:

@@ -13,15 +13,18 @@ hot loop only executes.
 Precomputed (eagerly, at plan time):
 
 * ``signed`` — int16 signed codes (the representation PacQ packs);
+* ``unsigned`` — the re-biased codes, each weight's channel index;
 * ``t_blocked`` — float32 transformed weights ``signed + offset``
-  reshaped to ``[gk, group_k, n]``, ready for vectorized FP16-rounded
-  products;
+  reshaped to ``[gk, group_k, n]``, the slab kernel's operand;
 * ``adjust`` / ``adjust_rows`` — the folded ``rebias - zero`` group
   adjustment, as a ``[gk, gn]`` grid and expanded to ``[gk, n]`` rows;
 * ``scale_rows`` — the scale grid expanded to ``[gk, n]`` rows.
 
 Computed lazily (first use, then cached on the plan):
 
+* ``selector`` — the ``batched`` backend's CSR channel selector, one
+  nonzero per weight (12 B each); the products it selects come from
+  one process-wide table, not from the plan;
 * ``w16`` — FP16-rounded dequantized weights (the ``reference``
   backend's operand);
 * ``packed`` — the ``P(Bx)n`` packed storage layout.
@@ -36,6 +39,7 @@ from __future__ import annotations
 import weakref
 
 import numpy as np
+import scipy.sparse
 
 from repro.engine.backends import DEFAULT_BACKEND, get_backend
 from repro.errors import QuantizationError
@@ -106,7 +110,7 @@ class GemmPlan:
         self._qm_ref = weakref.ref(qm)
         self._w16: np.ndarray | None = None
         self._packed = None
-        self._onehot: np.ndarray | None = None
+        self._selector: scipy.sparse.csr_matrix | None = None
         #: Executions per activation row count ``m``.  Nothing in the
         #: plan depends on ``m``, so one plan serves every batch size;
         #: a serving workload whose batch grows and shrinks as requests
@@ -140,38 +144,36 @@ class GemmPlan:
         return self._w16
 
     @property
-    def onehot_nbytes(self) -> int:
-        """Size the :attr:`onehot` operand would occupy, without building it."""
-        return self.k_dim * self.n_dim * self.channels * 8
+    def selector(self) -> scipy.sparse.csr_matrix:
+        """Channel selector of the ``batched`` backend, ``[gk * n, k * channels]``.
 
-    @property
-    def onehot(self) -> np.ndarray:
-        """Channel-indicator operand of the ``batched`` backend.
+        Row ``gi * n + j`` holds a 1.0 at column ``k * channels +
+        unsigned[k, j]`` for each of the ``group_k`` rows ``k`` of k-group
+        ``gi``, stored in ascending k.  Against the ``[k * channels, m]``
+        products of one call it selects and group-sums exactly one
+        FP16-rounded product per ``(k, n)``.
 
-        ``onehot[gi, kk * channels + c, n]`` is 1.0 iff weight
-        ``[gi * group_k + kk, n]`` has unsigned code ``c``, so the
-        batched contraction ``table @ onehot`` selects and group-sums
-        exactly one FP16-rounded product per (k, n) — a BLAS matmul in
-        place of the per-group Python loops.
-
-        Sized ``channels * 8`` bytes per weight element (128 B for
-        INT4, 32 B for INT2); built lazily on first ``batched``
-        execution and cached on the plan.
+        One nonzero per weight (12 B: value and column index);
+        built lazily on first ``batched`` execution and cached on the
+        plan.
         """
-        if self._onehot is None:
-            c = self.channels
-            onehot = np.zeros(
-                (self.gk, self.group_k * c, self.n_dim), dtype=np.float64
+        if self._selector is None:
+            nnz = self.k_dim * self.n_dim
+            width = self.k_dim * self.channels
+            index = np.int32 if max(nnz, width) < 2**31 else np.int64
+            cols = (
+                np.arange(self.k_dim, dtype=index)[:, None] * self.channels
+                + self.unsigned
+            )  # [k, n]
+            indices = np.ascontiguousarray(
+                cols.reshape(self.gk, self.group_k, self.n_dim).transpose(0, 2, 1)
+            ).reshape(-1)
+            indptr = np.arange(0, nnz + 1, self.group_k, dtype=index)
+            self._selector = scipy.sparse.csr_matrix(
+                (np.ones(indices.size), indices, indptr),
+                shape=(self.gk * self.n_dim, width),
             )
-            k_idx = np.arange(self.k_dim)[:, None]
-            gi = np.broadcast_to(k_idx // self.group_k, self.unsigned.shape)
-            row = (k_idx % self.group_k) * c + self.unsigned
-            col = np.broadcast_to(
-                np.arange(self.n_dim)[None, :], self.unsigned.shape
-            )
-            onehot[gi, row, col] = 1.0
-            self._onehot = onehot
-        return self._onehot
+        return self._selector
 
     @property
     def packed(self):

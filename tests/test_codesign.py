@@ -23,6 +23,7 @@ from repro.codesign import (
     replay_capture,
     splice_section,
 )
+from repro.codesign.capture import WALL_CLOCK_FIELDS, record_drift
 from repro.codesign.report import SECTION_BEGIN, SECTION_END
 from repro.core.experiments import get_experiment
 from repro.errors import ConfigError
@@ -490,6 +491,48 @@ class TestServeSimRecord:
         assert prompt[0] == prompt[1] == sum(
             r["prompt_length"] for r in solo["results"]
         )
+
+
+class TestGoldenStreams:
+    """``record_drift``: the comparison behind ``regen_codesign.sh --check``."""
+
+    def test_rerun_matches_except_wall_clock(self, capture_dir, tmp_path):
+        path = tmp_path / "fifo.json"
+        assert main(
+            ["serve-sim", *SERVE_ARGS, "--codesign", "fifo", "--json", str(path)]
+        ) == 0
+        golden = json.loads((capture_dir / "fifo.json").read_text())
+        assert record_drift(golden, json.loads(path.read_text())) == []
+
+    def test_token_and_counter_changes_drift(self, capture_dir):
+        golden = json.loads((capture_dir / "fifo.json").read_text())
+        fresh = json.loads(json.dumps(golden))
+        fresh["results"][1]["new_tokens"][0] += 1
+        fresh["stats"]["gemm_calls"] += 1
+        drift = record_drift(golden, fresh)
+        assert [line.split(":")[0] for line in drift] == [
+            ".results[1].new_tokens[0]", ".stats.gemm_calls",
+        ]
+
+    def test_wall_clock_fields_are_ignored_everywhere(self, capture_dir):
+        golden = json.loads((capture_dir / "fifo.json").read_text())
+        fresh = json.loads(json.dumps(golden))
+        for block in (fresh["stats"], *fresh["results"], *fresh["workers"]):
+            for key in WALL_CLOCK_FIELDS & set(block):
+                block[key] = -1.0
+        assert fresh != golden
+        assert record_drift(golden, fresh) == []
+
+    def test_missing_field_and_length_drift(self, capture_dir):
+        golden = json.loads((capture_dir / "fifo.json").read_text())
+        fresh = json.loads(json.dumps(golden))
+        del fresh["stats"]["steps"]
+        fresh["results"].pop()
+        assert record_drift(golden, fresh) == [
+            f".results: length {len(golden['results'])} != "
+            f"{len(fresh['results'])}",
+            ".stats.steps: present in only one record",
+        ]
 
 
 class TestCodesignCli:

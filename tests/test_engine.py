@@ -17,6 +17,8 @@ from repro.engine import (
 )
 from repro.engine.backends import execute_fast
 from repro.errors import QuantizationError
+from repro.fp import vec
+from repro.multiplier.parallel import parallel_fp_int_mul, rebias_offset
 from repro.quant.groups import GroupSpec
 from repro.quant.packing import PackDim
 from repro.quant.rtn import quantize_rtn
@@ -111,16 +113,60 @@ class TestPlanState:
         assert packed.spec.dim is PackDim.N
         assert packed.words.shape == (qm.k_dim, qm.n_dim // 4)
 
-    def test_onehot_selects_each_weight_once(self):
+    def test_selector_selects_each_weight_once_in_k_order(self):
         _, qm = _setup()
         plan = plan_gemm(qm)
-        onehot = plan.onehot
-        assert onehot.shape == (plan.gk, plan.group_k * plan.channels, qm.n_dim)
-        # Exactly one channel set per (k, n) element.
-        per_element = onehot.reshape(
-            plan.gk, plan.group_k, plan.channels, qm.n_dim
-        ).sum(axis=2)
-        assert np.all(per_element == 1.0)
+        sel = plan.selector
+        assert sel.shape == (plan.gk * qm.n_dim, qm.k_dim * plan.channels)
+        assert sel.nnz == qm.k_dim * qm.n_dim
+        assert np.all(sel.data == 1.0)
+        assert np.all(np.diff(sel.indptr) == plan.group_k)
+        rows = np.split(sel.indices, sel.indptr[1:-1])
+        # Ascending columns within a row pin the ascending-k accumulation.
+        assert all(np.all(np.diff(cols) > 0) for cols in rows)
+        # Row gi * n + j selects weight [k, j]'s channel for each k of group gi.
+        for gi in range(plan.gk):
+            ks = np.arange(gi * plan.group_k, (gi + 1) * plan.group_k)
+            for j in range(qm.n_dim):
+                expected = ks * plan.channels + plan.unsigned[ks, j]
+                assert np.array_equal(rows[gi * qm.n_dim + j], expected)
+
+
+class TestProductTable:
+    """The whole-input table ``batched`` gathers from, against the datapath."""
+
+    @pytest.mark.parametrize("bits", [4, 2])
+    def test_every_fp16_input_matches_parallel_multiplier(self, bits):
+        table = backends.product_table(bits)
+        channels = 1 << bits
+        assert table.shape == (1 << 16, channels)
+        codes = np.arange(channels, dtype=np.int64) - rebias_offset(bits)
+        for start in range(0, 1 << 16, 8192):
+            patterns = np.arange(start, start + 8192, dtype=np.uint16)
+            datapath = vec.parallel_products(patterns[:, None], codes[None, :], bits)
+            ours = table[start:start + 8192]
+            nan = np.isnan(ours)
+            assert np.array_equal(nan, vec.is_nan(datapath))
+            # Bit patterns, so signed zeros count; NaN sign bits carry no
+            # meaning and differ between the two builds.
+            ours_bits = ours.astype(np.float16).view(np.uint16)
+            assert np.array_equal(ours_bits[~nan], datapath[~nan])
+
+    @pytest.mark.parametrize("bits", [4, 2])
+    @pytest.mark.parametrize(
+        "pattern", [0x0000, 0x8000, 0x0001, 0x3C00, 0xB555, 0x5400, 0x7BFF, 0xFC00]
+    )
+    def test_rows_match_scalar_multiplier(self, bits, pattern):
+        table = backends.product_table(bits)
+        codes = [c - rebias_offset(bits) for c in range(1 << bits)]
+        lanes = 16 // bits
+        scalar = [
+            bits_
+            for i in range(0, len(codes), lanes)
+            for bits_ in parallel_fp_int_mul(pattern, codes[i:i + lanes], bits).products
+        ]
+        ours = table[pattern].astype(np.float16).view(np.uint16)
+        assert ours.tolist() == scalar
 
 
 class TestCrossBackendAgreement:
@@ -234,17 +280,6 @@ class TestCrossBackendAgreement:
         plan = plan_gemm(qm)
         assert np.array_equal(execute_fast(a, plan), plan.execute(a, backend="batched"))
 
-    def test_onehot_memory_ceiling_falls_back_bit_exactly(self, monkeypatch):
-        # Matrices whose indicator operand would blow the memory ceiling
-        # take the slab path and never build the indicator.
-        monkeypatch.setattr(backends, "_BATCHED_MAX_ONEHOT_BYTES", 1024)
-        a, qm = _setup()
-        plan = GemmPlan(qm)  # uncached: inspect this plan's lazy state
-        assert plan.onehot_nbytes > 1024
-        batched = backends.execute_batched(a, plan)
-        assert plan._onehot is None  # fallback skipped the indicator build
-        assert np.array_equal(execute_fast(a, plan), batched)
-
 
 class TestSaturationAcrossBackends:
     """The documented FP16 overflow edge, for every backend.
@@ -275,7 +310,7 @@ class TestSaturationAcrossBackends:
         assert np.all(np.isfinite(out))
 
     def test_saturating_input_identical_fast_vs_batched(self):
-        # The batched backend's saturation fallback must stay bit-exact,
+        # Saturated products must sum to the slab kernel's results,
         # NaN/inf placement included.
         rng = np.random.default_rng(7)
         a = rng.normal(size=(3, 32)) * 40.0  # straddles the ~63 edge
@@ -286,6 +321,26 @@ class TestSaturationAcrossBackends:
         assert np.array_equal(np.isnan(fast), np.isnan(batched))
         mask = ~np.isnan(fast)
         assert np.array_equal(fast[mask], batched[mask])
+
+    def test_saturating_call_stays_on_selector(self, monkeypatch):
+        # One activation at 64.0 saturates its products to inf.  CSR
+        # stores no zeros, so inf never meets inf * 0: batched gives the
+        # slab kernel's inf outputs without falling back to it.
+        rng = np.random.default_rng(2)
+        qm = quantize_rtn(rng.normal(size=(256, 256)), bits=4, group=GroupSpec(32, 4))
+        a = rng.normal(size=(2, 256))
+        a[0, 100] = 64.0
+        plan = GemmPlan(qm)
+        fast = execute_fast(a, plan)
+
+        def slow_path(*args, **kwargs):
+            raise AssertionError("fell back to the slab kernel")
+
+        monkeypatch.setattr(backends, "execute_fast", slow_path)
+        batched = plan.execute(a, backend="batched")
+        assert np.isinf(fast).sum() == 256
+        assert not np.isnan(fast).any()
+        assert np.array_equal(batched, fast)
 
     def test_saturating_input_identical_bitexact_vs_fast(self):
         # The vectorized datapath validator saturates lane products to
@@ -326,13 +381,15 @@ class TestFastPath:
         for k, n in ((256, 1024), (1024, 256)):
             qm = quantize_rtn(rng.normal(size=(k, n)), bits=4, group=GroupSpec(32, 4))
             plan = GemmPlan(qm)  # uncached: inspect this plan's lazy state
-            for m in (1, 6, 48):
+            assert plan._selector is None
+            plan.execute(rng.normal(size=(1, k)), backend="batched")
+            selector = plan._selector
+            assert selector is not None
+            for m in (6, 48):
                 plan.execute(rng.normal(size=(m, k)), backend="batched")
-            onehot = plan._onehot
-            assert onehot is not None
             plan.execute(rng.normal(size=(2, k)), backend="bitexact")
             plan.execute(rng.normal(size=(1, k)), backend="batched")
-            assert plan._onehot is onehot  # built once, not per call
+            assert plan._selector is selector  # built once, not per call
 
 
 class TestDecoderIntegration:
