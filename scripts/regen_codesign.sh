@@ -6,26 +6,25 @@
 # greedy trace, counts-only captures, analytical replay.
 #
 # Usage:  scripts/regen_codesign.sh [--check]
-#   --check  capture into a temporary directory instead of over
-#            docs/data/captures/, and fail (exit 1) when the committed
-#            artifacts are stale or a fresh capture differs from its
-#            committed golden stream in any field but the wall-clock
-#            ones (repro.codesign.capture.WALL_CLOCK_FIELDS) — what CI
-#            runs.
+#   --check  capture into codesign-check/ (gitignored, emptied first)
+#            instead of over docs/data/captures/, and fail (exit 1)
+#            when the committed artifacts are stale or a fresh capture
+#            differs from its committed golden stream in any field but
+#            the wall-clock ones (repro.codesign.capture.WALL_CLOCK_FIELDS)
+#            — what CI runs.  The fresh captures stay behind for diffing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
 GOLDEN=docs/data/captures
 CHECK=()
+CAPDIR=$GOLDEN
 if [[ "${1:-}" == "--check" ]]; then
     CHECK=(--check)
-    CAPDIR="$(mktemp -d)"
-    trap 'rm -rf "$CAPDIR"' EXIT
-else
-    CAPDIR="${CODESIGN_CAPTURE_DIR:-$GOLDEN}"
-    mkdir -p "$CAPDIR"
+    CAPDIR=codesign-check
+    rm -rf "$CAPDIR"
 fi
+mkdir -p "$CAPDIR"
 
 # One shared trace (greedy, seeded, shared-prefix traffic) so the
 # three captures differ only by scheduling policy.

@@ -21,8 +21,8 @@ Since the engine refactor this module is a thin dispatcher into
 step and a repeated **execute** step:
 
 * :func:`repro.engine.plan_gemm` precomputes per-weight-matrix state
-  (transformed-weight slabs, folded ``rebias - zero`` adjustments,
-  expanded scale grids, pack layout) into a cached
+  (channel indices and their CSR selector, folded ``rebias - zero``
+  adjustments, expanded scale grids, pack layout) into a cached
   :class:`repro.engine.GemmPlan`;
 * :meth:`GemmPlan.execute(a, backend=...) <repro.engine.GemmPlan.execute>`
   runs the hot path through one backend of the engine's table.
@@ -40,12 +40,13 @@ execute many times.  Backends:
   multiplier of :mod:`repro.multiplier.parallel`, vectorized; the
   datapath oracle;
 * ``"bitexact-scalar"`` — the same multiplier, one scalar call per
-  product; the oracle of ``"bitexact"``, for tiny matrices only;
+  product; the independent oracle of both, for tiny matrices only;
 * ``"reference"`` — the dequantize-then-matmul baseline flow
   (equivalent to :func:`dequant_reference`).
 
-``"batched"`` and ``"bitexact"`` agree bit-for-bit (asserted across
-random group specs in the tests).
+``"batched"`` and ``"bitexact"`` share one contraction and agree
+bit-for-bit with ``"bitexact-scalar"`` (asserted across random group
+specs in the tests).
 
 Numerics note: each product is the FP16 rounding of
 ``A * (B + 1032)`` — bit-identical to multiplying by the transformed

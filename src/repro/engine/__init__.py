@@ -3,9 +3,10 @@
 The engine splits PacQ's hyper-asymmetric GEMM into two steps:
 
 1. **Plan** (:func:`plan_gemm` / :class:`GemmPlan`) — one-time,
-   per-weight-matrix: signed codes, transformed-weight slabs, folded
+   per-weight-matrix: signed codes and their channel indices, folded
    ``rebias - zero`` group adjustments, expanded scale grids, and
-   (lazily) the dequantized reference operand and the packed layout.
+   (lazily) the CSR channel selector, the dequantized reference
+   operand and the packed layout.
 2. **Execute** (:meth:`GemmPlan.execute`) — the repeated hot path,
    dispatched through one backend of the table in
    :mod:`repro.engine.backends`.
@@ -21,7 +22,10 @@ bitexact        vectorized bit-level multiplier (the oracle)     yes
 bitexact-scalar per-element bit-level multiplier (slow oracle)   yes
 =============== ================================================ ===========
 
-``batched``, ``bitexact`` and ``bitexact-scalar`` are bit-identical.
+``batched``, ``bitexact`` and ``bitexact-scalar`` are bit-identical:
+``batched`` and ``bitexact`` share one contraction and differ only in
+where their products come from (a table built once, or the datapath
+evaluated per call).
 
 Typical use::
 

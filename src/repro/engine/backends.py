@@ -5,22 +5,15 @@ Every backend maps ``(activations, GemmPlan)`` to ``[m, n]`` float64:
 * ``reference`` — dequantize-then-matmul baseline (no transformed
   datapath, so no FP16 saturation edge);
 * ``batched`` (:data:`DEFAULT_BACKEND`) — PacQ's transformed-weight
-  datapath as a gather from :func:`product_table` (every FP16 input's
-  products) and one sparse selection by the plan's CSR
-  :attr:`~repro.engine.plan.GemmPlan.selector` per call.  It falls back
-  to :func:`execute_fast`, the per-k-group slab path, where the group
-  sums could round; the two are bit-for-bit identical (see the
-  numerics notes inline);
-* ``bitexact`` — every product through the bit-level parallel
-  multiplier, vectorized over numpy integer lanes by
-  :mod:`repro.fp.vec`; the datapath oracle, fast enough for real LLM
-  layer shapes;
-* ``bitexact-scalar`` — the original per-element Python loop over
-  :func:`repro.multiplier.parallel.parallel_fp_int_mul`; kept as the
-  oracle the vectorized ``bitexact`` is tested against.
+  datapath, its products gathered from :func:`product_table`;
+* ``bitexact`` — the same datapath, every product evaluated per call
+  by the bit-level parallel multiplier vectorized in :mod:`repro.fp.vec`;
+* ``bitexact-scalar`` — the original per-element loop over
+  :func:`repro.multiplier.parallel.parallel_fp_int_mul`; the
+  independent oracle of the other two.
 
-All transformed backends share the plan's precomputed state, so the
-per-call cost is purely the product/accumulate work.
+``batched`` and ``bitexact`` differ only in where their products come
+from: both sum them through one contraction, :func:`_contract`.
 """
 
 from __future__ import annotations
@@ -49,45 +42,6 @@ def execute_reference(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
     return a16 @ plan.w16
 
 
-def execute_fast(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
-    """Per-k-group transformed products off the plan's slabs.
-
-    ``batched``'s fallback wherever its contraction cannot be exact
-    (see :func:`execute_batched`); not a backend of its own.
-    """
-    a16 = np.asarray(a, dtype=np.float16)
-    a_wide = a16.astype(np.float64)
-    m = a16.shape[0]
-    out = np.zeros((m, plan.n_dim), dtype=np.float64)
-
-    for gi in range(plan.gk):
-        ks = slice(gi * plan.group_k, (gi + 1) * plan.group_k)
-        # Transformed-weight products, FP16-rounded elementwise.  The
-        # transformed weights (1024..2047 + code) are exact in FP16, so
-        # float16 multiply here is bit-identical to the parallel
-        # multiplier (verified against the bitexact path in tests).
-        with np.errstate(over="ignore"):  # FP16 saturation is modelled
-            prods = (
-                a16[:, ks, None].astype(np.float32)
-                * plan.t_blocked[gi][None, :, :]
-            ).astype(np.float16)
-        # detlint: ignore[D003]: reduces the k-group axis, whose length is
-        # fixed by the plan — the order is the same for every batch row.
-        s1 = prods.astype(np.float64).sum(axis=1)  # [m, n]
-        # detlint: ignore[D003]: same k-group axis argument as s1 above.
-        s_a = a_wide[:, ks].sum(axis=1, keepdims=True)  # the sum(A) accumulator
-        corrected = s1 - plan.offset * s_a  # Eq. (1): sum(A * signed)
-        out += plan.scale_rows[gi][None, :] * (
-            corrected + plan.adjust_rows[gi][None, :] * s_a
-        )
-    return out
-
-
-#: ``group_k`` ceiling for the exact-contraction argument below: sums of
-#: up to 4096 FP16 values stay exact in float64 (<= 2**29 magnitude at
-#: 2**-24 granularity = 53 significand bits).
-_BATCHED_MAX_GROUP_K = 4096
-
 @functools.cache
 def product_table(bits: int) -> np.ndarray:
     """Every transformed-weight product of every FP16 activation.
@@ -96,9 +50,10 @@ def product_table(bits: int) -> np.ndarray:
     whose bit pattern is ``p``, over all 65,536 patterns and all
     ``2**bits`` channels: the ``2**bits`` lanes PacQ's parallel
     multiplier produces for one activation, as float64 (8 MiB for
-    INT4, 2 MiB for INT2).  Built once per process and bit width by
-    the same float32-multiply-then-cast as :func:`execute_fast`; the
-    exhaustive engine test pins every entry to the bit-level datapath.
+    INT4, 2 MiB for INT2).  Built once per process and bit width by a
+    float32 multiply then an FP16 cast (the transformed weights are
+    exact in both); the exhaustive engine test pins every entry to the
+    bit-level datapath.
     """
     a32 = (
         np.arange(1 << 16, dtype=np.uint32)
@@ -106,58 +61,48 @@ def product_table(bits: int) -> np.ndarray:
         .view(np.float16)
         .astype(np.float32)
     )
-    lut32 = 1024.0 + np.arange(1 << bits, dtype=np.float32)
+    weights = 1024.0 + np.arange(1 << bits, dtype=np.float32)
     # FP16 saturation is modelled; signalling-NaN inputs stay NaN.
     with np.errstate(over="ignore", invalid="ignore"):
-        table = (a32[:, None] * lut32[None, :]).astype(np.float16).astype(np.float64)
+        table = (a32[:, None] * weights[None, :]).astype(np.float16).astype(np.float64)
     table.flags.writeable = False
     return table
 
 
-def execute_batched(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
-    """All k-groups in one sparse selection over the product table.
+def _contract(a16: np.ndarray, products: np.ndarray, plan: GemmPlan) -> np.ndarray:
+    """Group-sum one call's ``[k, m, channels]`` products into ``[m, n]``.
 
-    A transformed weight takes only ``channels = 2**bits`` distinct
-    values (``1024 + c``), so every FP16-rounded product this call
-    needs is an entry of :func:`product_table`.  The call gathers each
-    activation's row of it into a ``[k * channels, m]`` operand; the
-    plan's CSR :attr:`~repro.engine.plan.GemmPlan.selector` (one 1.0
-    per weight) then picks and group-sums one product per ``(k, n)``,
-    giving the ``[gk, n, m]`` group partials, and a vectorized
-    epilogue applies Eq. (1), scale and adjust.
+    ``products[k, i, c]`` is the FP16-rounded product of ``a16[i, k]``
+    with transformed weight ``1024 + c``: every product the call needs.
+    The plan's CSR :attr:`~repro.engine.plan.GemmPlan.selector` picks and
+    group-sums one per ``(k, n)``, a vectorized epilogue applies
+    Eq. (1), adjust and scale, and the ``gk`` groups are added in index
+    order.  Bit-for-bit equal to ``bitexact-scalar`` at every
+    ``group_k``:
 
-    Bit-for-bit identical to :func:`execute_fast`:
-
-    * the table entries are the same float32-multiply-then-cast
-      FP16-rounded products :func:`execute_fast` computes;
-    * each selector row adds its ``group_k`` products in stored order,
-      which is ascending k, whatever ``m`` is; the products are
-      FP16-exact float64 values whose sums are exact for ``group_k <=
-      4096``, so no order could round them anyway;
-    * CSR stores no zeros, so a saturated ``inf`` product never meets
-      ``inf * 0`` and sums to the same ``inf`` as the slab path;
-    * the final reduction over ``gk`` adds the groups in index order —
-      the same left-to-right accumulation as :func:`execute_fast`'s
-      ``out +=`` loop (pinned by the cross-backend property tests).
-
-    Group extents beyond the exactness ceiling take the
-    :func:`execute_fast` slab path instead.
+    * each selector row adds its products in stored order, ascending k,
+      for every column whatever ``m`` is: the oracle's ``s1 +=`` order,
+      so sums round alike even where order matters.  CSR stores no
+      zeros, so a saturated ``inf`` never meets ``inf * 0``;
+    * ``sum(A)`` is exact wherever it reaches the output.  An
+      activation with a finite product has ``|a| < 64``, so while all of
+      a group's do, the sum stays below ``2**6 * group_k`` at ``2**-24``
+      granularity: exact in float64 up to ``group_k = 2**23``.  An
+      activation with none makes every product sum of its group, and so
+      every output, ``inf`` or NaN whatever ``sum(A)`` is;
+    * the epilogue applies the oracle's operations in the oracle's
+      order, and the ``gk`` sum runs left to right like its ``out +=``.
     """
-    if plan.group_k > _BATCHED_MAX_GROUP_K:
-        return execute_fast(a, plan)
-
-    a16 = np.asarray(a, dtype=np.float16)
     m = a16.shape[0]
-    # [k, m, channels] products, laid out as the selector's columns.
-    products = np.take(product_table(plan.bits), a16.T.view(np.uint16), axis=0)
+    # The selector's column order: [k * channels, m].
     operand = products.transpose(0, 2, 1).reshape(plan.k_dim * plan.channels, m)
     # detlint: ignore[D001]: CSR selection, not BLAS — scipy's csr_matvecs
     # adds each row's nonzeros in stored (ascending-k) order for every
     # column, whatever m is.
     acc = (plan.selector @ operand).reshape(plan.gk, plan.n_dim, m)
     a_blk = a16.astype(np.float64).reshape(m, plan.gk, plan.group_k)
-    # detlint: ignore[D003]: reduces the k-group axis, whose length is fixed
-    # by the plan — the order is the same for every batch row.
+    # detlint: ignore[D003]: exact wherever it reaches the output (see the
+    # sum(A) bullet of the docstring), so no order can change a result.
     s_a = a_blk.sum(axis=2).T[:, None, :]  # [gk, 1, m] sum(A) accumulators
     # In place on the [gk, n, m] group partials: the same operations, in
     # the same order, as scale * ((s1 - offset * s_a) + adjust * s_a).
@@ -165,9 +110,15 @@ def execute_batched(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
     acc += plan.adjust_rows[:, :, None] * s_a
     acc *= plan.scale_rows[:, :, None]
     # detlint: ignore[D003]: reduces the gk group axis, whose length is fixed
-    # by the plan alone — batch-independent; identity with execute_fast's
-    # sequential accumulation is asserted bit-for-bit in tests.
+    # by the plan alone — batch-independent, added in index order.
     return np.ascontiguousarray(acc.sum(axis=0).T)
+
+
+def execute_batched(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
+    """The contraction over products gathered from :func:`product_table`."""
+    a16 = np.asarray(a, dtype=np.float16)
+    products = np.take(product_table(plan.bits), a16.T.view(np.uint16), axis=0)
+    return _contract(a16, products, plan)
 
 
 def _check_pack_alignment(plan: GemmPlan) -> None:
@@ -178,76 +129,28 @@ def _check_pack_alignment(plan: GemmPlan) -> None:
         )
 
 
-def _group_sum_like_oracle(blocked: np.ndarray) -> np.ndarray:
-    """Sum the middle (group_k) axis of ``[gk, group_k, ...]`` blocks.
-
-    Up to 4096 FP16-exact float64 terms sum exactly (53-bit
-    significand), so numpy's pairwise reduction is bit-identical to any
-    order and the fast ``sum`` applies.  Beyond that the sums can
-    round, so match the scalar oracle's association order exactly: one
-    add per k element, in k order (inf/NaN propagation is
-    order-independent either way).
-    """
-    if blocked.shape[1] <= _BATCHED_MAX_GROUP_K:
-        # detlint: ignore[D003]: exact — <= 4096 FP16-exact float64 terms
-        # (docstring argument), so no summation order can round.
-        return blocked.sum(axis=1)
-    total = blocked[:, 0].copy()
-    for kk in range(1, blocked.shape[1]):
-        total += blocked[:, kk]
-    return total
-
-
 def execute_bitexact(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
-    """Every product through the bit-level multiplier, vectorized.
+    """The contraction over products from the bit-level multiplier.
 
-    The kernel evaluates, for each activation, all ``2**bits`` lanes of
-    the transformed-weight datapath at once through the vectorized
-    parallel multiplier (:func:`repro.fp.vec.parallel_products`) — a
-    ``[m, k, channels]`` table of product bits — then gathers each
-    weight's channel into the ``[k, n]`` product block and group-sums
-    it.  Every ``(k, n)`` product's bits therefore come from a datapath
-    evaluation with exactly those operands; per-element agreement with
-    the scalar oracle loop (``bitexact-scalar``) is pinned by the
-    engine tests.  The only Python-level iteration left is the per-row
-    gather (bounding the float64 product block to ``[k, n]``) and the
-    per-k-group accumulation, which mirrors :func:`execute_fast`'s group
-    order.
+    All ``2**bits`` lanes of every activation go through
+    :func:`repro.fp.vec.parallel_products` per call, so every product's
+    bits come from a datapath evaluation, not from a table.
     """
     a16 = np.asarray(a, dtype=np.float16)
     _check_pack_alignment(plan)
-    m = a16.shape[0]
-    a_bits = vec.from_float(a16.astype(np.float64))  # [m, k] raw patterns
-    a_wide = vec.to_float(a_bits)
+    a_bits = vec.from_float(a16.astype(np.float64)).T  # [k, m] raw patterns
     all_codes = np.arange(plan.channels, dtype=np.int64) - rebias_offset(plan.bits)
-    # All lanes of the datapath for every activation element: the
-    # [m, k, channels] bit table covers every product of this call.
-    table = vec.to_float(
+    products = vec.to_float(
         vec.parallel_products(a_bits[:, :, None], all_codes[None, None, :], plan.bits)
     )
-    out = np.zeros((m, plan.n_dim), dtype=np.float64)
-    k_rows = np.arange(plan.k_dim)[:, None]
-    for i in range(m):
-        products = table[i][k_rows, plan.unsigned]  # [k, n] lane values
-        s1 = _group_sum_like_oracle(
-            products.reshape(plan.gk, plan.group_k, plan.n_dim)
-        )
-        s_a = _group_sum_like_oracle(
-            a_wide[i].reshape(plan.gk, plan.group_k, 1)
-        )[:, 0]
-        for gi in range(plan.gk):
-            corrected = s1[gi] - plan.offset * s_a[gi]
-            out[i, :] += plan.scale_rows[gi] * (
-                corrected + plan.adjust_rows[gi] * s_a[gi]
-            )
-    return out
+    return _contract(a16, products, plan)
 
 
 def execute_bitexact_scalar(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
     """Every product through the scalar bit-level multiplier (slow, exact).
 
-    The original quadruple-nested validator loop, kept as the oracle
-    the vectorized ``bitexact`` backend is checked against.
+    The original quadruple-nested validator loop, kept as the
+    independent oracle of ``batched`` and ``bitexact``.
     """
     a16 = np.asarray(a, dtype=np.float16)
     _check_pack_alignment(plan)

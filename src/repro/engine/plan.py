@@ -1,7 +1,7 @@
 """GEMM planning: one-time per-weight-matrix state for repeated execution.
 
 The seed implementation of :func:`repro.core.gemm.hyper_gemm` re-derived
-everything on every call — signed codes, transformed-weight slabs, the
+everything on every call — signed codes, transformed weights, the
 folded ``rebias - zero`` group adjustments — so workloads that execute
 the *same* quantized matrix thousands of times (per-token decoding,
 perplexity sweeps) paid planning cost on every token.  ``GemmPlan``
@@ -14,17 +14,15 @@ Precomputed (eagerly, at plan time):
 
 * ``signed`` — int16 signed codes (the representation PacQ packs);
 * ``unsigned`` — the re-biased codes, each weight's channel index;
-* ``t_blocked`` — float32 transformed weights ``signed + offset``
-  reshaped to ``[gk, group_k, n]``, the slab kernel's operand;
 * ``adjust`` / ``adjust_rows`` — the folded ``rebias - zero`` group
   adjustment, as a ``[gk, gn]`` grid and expanded to ``[gk, n]`` rows;
 * ``scale_rows`` — the scale grid expanded to ``[gk, n]`` rows.
 
 Computed lazily (first use, then cached on the plan):
 
-* ``selector`` — the ``batched`` backend's CSR channel selector, one
-  nonzero per weight (12 B each); the products it selects come from
-  one process-wide table, not from the plan;
+* ``selector`` — the CSR channel selector of the ``batched`` and
+  ``bitexact`` contraction, one nonzero per weight (12 B each); the
+  products it selects come from the backend, not from the plan;
 * ``w16`` — FP16-rounded dequantized weights (the ``reference``
   backend's operand);
 * ``packed`` — the ``P(Bx)n`` packed storage layout.
@@ -82,20 +80,6 @@ class GemmPlan:
         self.unsigned: np.ndarray = (
             self.signed + rebias_offset(qm.bits)
         ).astype(np.uint8)
-        #: All possible transformed-weight values, float32-exact:
-        #: ``lut32[c] == 1024 + c`` and ``t[k, n] == lut32[unsigned[k, n]]``.
-        self.lut32: np.ndarray = (
-            1024.0 + np.arange(self.channels, dtype=np.float64)
-        ).astype(np.float32)
-        # Transformed weights are integers in [1024, 1024 + 2**bits),
-        # exact in float32, pre-blocked per k-group for the product
-        # kernels: t_blocked[gi] == (signed[ks, :] + offset) for the
-        # gi-th k-group slice.
-        self.t_blocked: np.ndarray = (
-            (self.signed.astype(np.float64) + self.offset)
-            .astype(np.float32)
-            .reshape(self.gk, self.group_k, self.n_dim)
-        )
         self.scales: np.ndarray = qm.scales
         self.zeros: np.ndarray = qm.zeros
         if qm.symmetric:
@@ -145,7 +129,7 @@ class GemmPlan:
 
     @property
     def selector(self) -> scipy.sparse.csr_matrix:
-        """Channel selector of the ``batched`` backend, ``[gk * n, k * channels]``.
+        """Channel selector of the shared contraction, ``[gk * n, k * channels]``.
 
         Row ``gi * n + j`` holds a 1.0 at column ``k * channels +
         unsigned[k, j]`` for each of the ``group_k`` rows ``k`` of k-group
@@ -154,8 +138,8 @@ class GemmPlan:
         FP16-rounded product per ``(k, n)``.
 
         One nonzero per weight (12 B: value and column index);
-        built lazily on first ``batched`` execution and cached on the
-        plan.
+        built lazily on the first ``batched`` or ``bitexact``
+        execution and cached on the plan.
         """
         if self._selector is None:
             nnz = self.k_dim * self.n_dim

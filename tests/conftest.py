@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from repro.engine.backends import BACKENDS, execute_fast
 from repro.fp import fp16
 
 
@@ -52,15 +51,3 @@ def np_bits(value) -> int:
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(0xBEEF)
-
-
-@pytest.fixture
-def fast_kernel(monkeypatch):
-    """Serve ``execute_fast`` under the backend name ``fast`` for one test.
-
-    ``execute_fast`` is ``batched``'s per-k-group fallback kernel, not a
-    backend of the engine's table.  Tests that pin its outputs, or the
-    token streams served through it, equal to the table's backends
-    select it through the ordinary ``backend=`` argument.
-    """
-    monkeypatch.setitem(BACKENDS, "fast", execute_fast)

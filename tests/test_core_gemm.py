@@ -38,8 +38,7 @@ def _datapath_envelope(a, qm):
 
 
 class TestAgainstDequantReference:
-    @pytest.mark.usefixtures("fast_kernel")
-    @pytest.mark.parametrize("mode", ["fast", "batched"])
+    @pytest.mark.parametrize("mode", ["batched", "bitexact"])
     @pytest.mark.parametrize("bits", [4, 2])
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_fast_mode_matches_reference(self, bits, symmetric, mode):
@@ -69,31 +68,26 @@ class TestAgainstDequantReference:
 
 
 class TestBitexactMode:
-    """``batched`` and its fallback kernel ``fast`` against ``bitexact``."""
+    """``batched`` and ``bitexact`` against the ``bitexact-scalar`` oracle."""
 
-    @pytest.mark.usefixtures("fast_kernel")
-    @pytest.mark.parametrize("mode", ["fast", "batched"])
+    @pytest.mark.parametrize("mode", ["batched", "bitexact"])
     def test_fast_and_bitexact_agree(self, mode):
         a, _, qm = _setup(m=2, k=16, n=8, group=GroupSpec(8, 4))
-        fast = hyper_gemm(a, qm, mode=mode)
-        exact = hyper_gemm(a, qm, mode="bitexact")
-        assert np.allclose(fast, exact, rtol=1e-12, atol=1e-12)
+        exact = hyper_gemm(a, qm, mode="bitexact-scalar")
+        assert np.array_equal(hyper_gemm(a, qm, mode=mode), exact)
 
-    @pytest.mark.usefixtures("fast_kernel")
-    @pytest.mark.parametrize("mode", ["fast", "batched"])
+    @pytest.mark.parametrize("mode", ["batched", "bitexact"])
     def test_fast_and_bitexact_agree_int2(self, mode):
         a, _, qm = _setup(m=2, k=16, n=8, bits=2, group=GroupSpec(8, 4))
-        fast = hyper_gemm(a, qm, mode=mode)
-        exact = hyper_gemm(a, qm, mode="bitexact")
-        assert np.allclose(fast, exact, rtol=1e-12, atol=1e-12)
+        exact = hyper_gemm(a, qm, mode="bitexact-scalar")
+        assert np.array_equal(hyper_gemm(a, qm, mode=mode), exact)
 
-    @pytest.mark.usefixtures("fast_kernel")
-    def test_batched_bit_identical_with_fast_on_suite_matrices(self):
+    def test_batched_bit_identical_with_scalar_oracle_on_suite_matrices(self):
         for bits in (4, 2):
             for symmetric in (False, True):
                 a, _, qm = _setup(bits=bits, symmetric=symmetric)
                 assert np.array_equal(
-                    hyper_gemm(a, qm, mode="fast"),
+                    hyper_gemm(a, qm, mode="bitexact-scalar"),
                     hyper_gemm(a, qm, mode="batched"),
                 )
 
@@ -102,8 +96,8 @@ class TestBitexactMode:
     def test_agreement_property(self, seed):
         a, _, qm = _setup(m=1, k=8, n=8, group=GroupSpec(8, 4), seed=seed)
         batched = hyper_gemm(a, qm)
-        exact = hyper_gemm(a, qm, mode="bitexact")
-        assert np.allclose(batched, exact, rtol=1e-12, atol=1e-12)
+        exact = hyper_gemm(a, qm, mode="bitexact-scalar")
+        assert np.array_equal(batched, exact)
 
 
 class TestValidation:
@@ -173,16 +167,14 @@ class TestDatapathSaturation:
     public ``hyper_gemm`` wrapper.
     """
 
-    @pytest.mark.usefixtures("fast_kernel")
-    @pytest.mark.parametrize("mode", ["fast", "batched", "bitexact"])
+    @pytest.mark.parametrize("mode", ["batched", "bitexact"])
     def test_large_activations_saturate_transformed_products(self, mode):
         _, _, qm = _setup()
         a = np.full((1, 32), 70.0)  # 70 * 1039 > 65504: products -> inf
         out = hyper_gemm(a, qm, mode=mode)
         assert not np.all(np.isfinite(out))
 
-    @pytest.mark.usefixtures("fast_kernel")
-    @pytest.mark.parametrize("mode", ["fast", "batched", "bitexact"])
+    @pytest.mark.parametrize("mode", ["batched", "bitexact"])
     def test_safe_range_stays_finite(self, mode):
         _, _, qm = _setup()
         a = np.full((1, 32), 60.0)  # inside the |A| < ~63 envelope

@@ -15,7 +15,6 @@ from repro.engine import (
     plan_cache_size,
     plan_gemm,
 )
-from repro.engine.backends import execute_fast
 from repro.errors import QuantizationError
 from repro.fp import vec
 from repro.multiplier.parallel import parallel_fp_int_mul, rebias_offset
@@ -49,7 +48,7 @@ class TestRegistry:
         with pytest.raises(QuantizationError, match="valid backends: batched, "):
             get_backend("warp-drive")
         with pytest.raises(QuantizationError, match="'fast'"):
-            get_backend("fast")  # batched's fallback kernel, not a backend
+            get_backend("fast")
 
 
 class TestPlanCache:
@@ -92,13 +91,6 @@ class TestPlanState:
             plan.execute(a[:, :-1])
         with pytest.raises(QuantizationError):
             plan.execute(np.zeros(32))
-
-    def test_transformed_slabs_match_codes(self):
-        _, qm = _setup()
-        plan = plan_gemm(qm)
-        flat = plan.t_blocked.reshape(qm.k_dim, qm.n_dim)
-        assert np.array_equal(flat, (qm.signed_codes() + 1032).astype(np.float32))
-        assert np.array_equal(plan.lut32[plan.unsigned], flat)
 
     def test_w16_matches_dequantize(self):
         for symmetric in (False, True):
@@ -172,8 +164,9 @@ class TestProductTable:
 class TestCrossBackendAgreement:
     """``batched`` / ``bitexact`` / ``reference`` contracts.
 
-    ``execute_fast`` is ``batched``'s per-k-group fallback kernel; it is
-    called directly as the oracle of the contraction.
+    ``batched`` and ``bitexact`` share one contraction, so each is held
+    to the independent ``bitexact-scalar`` oracle wherever its cost
+    allows, and to ``bitexact`` beyond that.
     """
 
     @pytest.mark.parametrize("bits", [4, 2])
@@ -181,12 +174,12 @@ class TestCrossBackendAgreement:
     @pytest.mark.parametrize(
         "group", [GroupSpec(8, 4), GroupSpec(32, 1), GroupSpec(4, 16), GroupSpec(16, 16)]
     )
-    def test_batched_bitexact_with_fast(self, bits, symmetric, group):
+    def test_batched_and_bitexact_match_scalar_oracle(self, bits, symmetric, group):
         a, qm = _setup(m=5, k=32, n=16, bits=bits, group=group, symmetric=symmetric)
         plan = plan_gemm(qm)
-        fast = execute_fast(a, plan)
-        batched = plan.execute(a, backend="batched")
-        assert np.array_equal(fast, batched)
+        scalar = plan.execute(a, backend="bitexact-scalar")
+        assert np.array_equal(scalar, plan.execute(a, backend="batched"))
+        assert np.array_equal(scalar, plan.execute(a, backend="bitexact"))
 
     @given(
         seed=st.integers(0, 10**6),
@@ -197,13 +190,16 @@ class TestCrossBackendAgreement:
     )
     @settings(max_examples=40, deadline=None)
     def test_agreement_property(self, seed, bits, gk, gn, symmetric):
-        """execute_fast == batched bit-for-bit on random INT4/INT2 group specs."""
+        """batched == bitexact-scalar bit-for-bit on random INT4/INT2 group specs."""
         a, qm = _setup(
             m=3, k=4 * gk, n=2 * max(gn, 4), bits=bits,
             group=GroupSpec(gk, gn), seed=seed, symmetric=symmetric,
         )
         plan = plan_gemm(qm)
-        assert np.array_equal(execute_fast(a, plan), plan.execute(a, backend="batched"))
+        assert np.array_equal(
+            plan.execute(a, backend="bitexact-scalar"),
+            plan.execute(a, backend="batched"),
+        )
 
     def test_batched_matches_bit_level_multiplier(self):
         a, qm = _setup(m=2, k=16, n=8, group=GroupSpec(8, 4))
@@ -234,23 +230,40 @@ class TestCrossBackendAgreement:
         a, qm = _setup(m=8, k=128, n=128, bits=bits, group=GroupSpec(32, 4))
         plan = plan_gemm(qm)
         bitexact = plan.execute(a, backend="bitexact")
-        assert np.array_equal(bitexact, execute_fast(a, plan))
         assert np.array_equal(bitexact, plan.execute(a, backend="batched"))
 
-    def test_bitexact_oracle_agreement_beyond_exact_sum_ceiling(self):
-        # group_k > 4096 exceeds the 53-bit exact-sum argument, so the
-        # vectorized kernel switches to the oracle's sequential k-order
-        # accumulation — equality must hold there too.
-        rng = np.random.default_rng(5)
-        qm = quantize_rtn(
-            rng.normal(size=(8192, 4)), bits=4, group=GroupSpec(8192, 4)
-        )
-        a = rng.normal(size=(1, 8192))
+    def test_order_sensitive_group_sums_match_scalar_oracle(self):
+        """The contraction adds each group's products in the oracle's order.
+
+        Three quarters of the activations sit at 63.0 (products near
+        2**16, running sums near 2**29.6 with a 2**-23 ulp) and the rest
+        at 2**-24 (products on a 2**-24 grid), so a group sum of 16,384
+        products rounds differently in every order.  Only ascending k,
+        the scalar oracle's ``s1 +=`` order, gives its bits.
+        """
+        rng = np.random.default_rng(0)
+        k = 16384
+        qm = quantize_rtn(rng.normal(size=(k, 4)), bits=4, group=GroupSpec(k, 4))
+        a = np.full((1, k), 2.0**-24)
+        a[0, rng.permutation(k)[: 3 * k // 4]] = 63.0
         plan = plan_gemm(qm)
-        assert np.array_equal(
-            plan.execute(a, backend="bitexact"),
-            plan.execute(a, backend="bitexact-scalar"),
-        )
+        # The data must stay order-sensitive, or the test below is vacuous.
+        patterns = a.astype(np.float16)[0].view(np.uint16)
+        column = backends.product_table(4)[patterns, plan.unsigned[:, 0]]
+        in_order = np.cumsum(column)[-1]  # sequential, ascending k
+        assert in_order != np.cumsum(column[::-1])[-1]
+        assert in_order != column.sum()
+        scalar = plan.execute(a, backend="bitexact-scalar").view(np.uint64)
+        for name in ("batched", "bitexact"):
+            ours = plan.execute(a, backend=name).view(np.uint64)
+            assert np.array_equal(ours, scalar), name
+
+    @pytest.mark.parametrize("name", ["bitexact", "bitexact-scalar"])
+    def test_bitexact_backends_reject_unpackable_n(self, name):
+        # n = 6 fills no whole 16-bit word of INT4 lanes (4 per word).
+        a, qm = _setup(m=1, k=16, n=6, group=GroupSpec(8, 2))
+        with pytest.raises(QuantizationError, match="pack factor 4"):
+            plan_gemm(qm).execute(a, backend=name)
 
     def test_bitexact_subnormal_activations_agree(self):
         # Subnormal activations exercise the vec layer's generic-path
@@ -270,28 +283,16 @@ class TestCrossBackendAgreement:
             plan_gemm(qm).execute(a, backend="reference"), dequant_reference(a, qm)
         )
 
-    def test_large_group_k_falls_back_bit_exactly(self):
-        # group_k beyond the exact-contraction ceiling takes the slab path.
-        rng = np.random.default_rng(3)
-        qm = quantize_rtn(
-            rng.normal(size=(8192, 8)), bits=4, group=GroupSpec(8192, 8)
-        )
-        a = rng.normal(size=(2, 8192))
-        plan = plan_gemm(qm)
-        assert np.array_equal(execute_fast(a, plan), plan.execute(a, backend="batched"))
-
 
 class TestSaturationAcrossBackends:
     """The documented FP16 overflow edge, for every backend.
 
     ``|A| > 65504 / 1039 ~ 63`` saturates transformed products to inf,
-    so every backend except ``reference`` (and ``batched``'s fallback
-    kernel ``fast``) must go non-finite; ``reference`` skips the
-    transform and must stay finite.
+    so every backend except ``reference`` must go non-finite;
+    ``reference`` skips the transform and must stay finite.
     """
 
-    @pytest.mark.usefixtures("fast_kernel")
-    @pytest.mark.parametrize("name", sorted([*backend_names(), "fast"]))
+    @pytest.mark.parametrize("name", backend_names())
     def test_large_activations(self, name):
         _, qm = _setup()
         plan = plan_gemm(qm)
@@ -301,64 +302,42 @@ class TestSaturationAcrossBackends:
         else:
             assert np.all(np.isfinite(out))
 
-    @pytest.mark.usefixtures("fast_kernel")
-    @pytest.mark.parametrize("name", sorted([*backend_names(), "fast"]))
+    @pytest.mark.parametrize("name", backend_names())
     def test_safe_range_stays_finite(self, name):
         _, qm = _setup()
         plan = plan_gemm(qm)
         out = plan.execute(np.full((1, 32), 60.0), backend=name)
         assert np.all(np.isfinite(out))
 
-    def test_saturating_input_identical_fast_vs_batched(self):
-        # Saturated products must sum to the slab kernel's results,
+    @pytest.mark.parametrize("name", ["batched", "bitexact"])
+    def test_saturating_input_identical_to_scalar_oracle(self, name):
+        # Saturated products must sum to the scalar oracle's results,
         # NaN/inf placement included.
         rng = np.random.default_rng(7)
         a = rng.normal(size=(3, 32)) * 40.0  # straddles the ~63 edge
         _, qm = _setup()
         plan = plan_gemm(qm)
-        fast = execute_fast(a, plan)
-        batched = plan.execute(a, backend="batched")
-        assert np.array_equal(np.isnan(fast), np.isnan(batched))
-        mask = ~np.isnan(fast)
-        assert np.array_equal(fast[mask], batched[mask])
-
-    def test_saturating_call_stays_on_selector(self, monkeypatch):
-        # One activation at 64.0 saturates its products to inf.  CSR
-        # stores no zeros, so inf never meets inf * 0: batched gives the
-        # slab kernel's inf outputs without falling back to it.
-        rng = np.random.default_rng(2)
-        qm = quantize_rtn(rng.normal(size=(256, 256)), bits=4, group=GroupSpec(32, 4))
-        a = rng.normal(size=(2, 256))
-        a[0, 100] = 64.0
-        plan = GemmPlan(qm)
-        fast = execute_fast(a, plan)
-
-        def slow_path(*args, **kwargs):
-            raise AssertionError("fell back to the slab kernel")
-
-        monkeypatch.setattr(backends, "execute_fast", slow_path)
-        batched = plan.execute(a, backend="batched")
-        assert np.isinf(fast).sum() == 256
-        assert not np.isnan(fast).any()
-        assert np.array_equal(batched, fast)
-
-    def test_saturating_input_identical_bitexact_vs_fast(self):
-        # The vectorized datapath validator saturates lane products to
-        # infinity exactly where the slab kernel, batched and the scalar
-        # oracle do.
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(3, 32)) * 40.0
-        _, qm = _setup()
-        plan = plan_gemm(qm)
-        fast = execute_fast(a, plan)
-        batched = plan.execute(a, backend="batched")
         with np.errstate(invalid="ignore"):
-            bitexact = plan.execute(a, backend="bitexact")
+            ours = plan.execute(a, backend=name)
             scalar = plan.execute(a, backend="bitexact-scalar")
-        for other in (batched, bitexact, scalar):
-            assert np.array_equal(np.isnan(fast), np.isnan(other))
-            mask = ~np.isnan(fast)
-            assert np.array_equal(fast[mask], other[mask])
+        assert np.array_equal(np.isnan(scalar), np.isnan(ours))
+        mask = ~np.isnan(scalar)
+        assert np.array_equal(scalar[mask], ours[mask])
+
+    def test_saturating_call_stays_on_selector(self):
+        # One activation at 64.0 saturates its products to inf.  CSR
+        # stores no zeros, so inf never meets inf * 0: the selector gives
+        # the scalar oracle's inf outputs, and no NaN.
+        rng = np.random.default_rng(2)
+        qm = quantize_rtn(rng.normal(size=(64, 32)), bits=4, group=GroupSpec(32, 4))
+        a = rng.normal(size=(2, 64))
+        a[0, 40] = 64.0
+        plan = GemmPlan(qm)
+        scalar = plan.execute(a, backend="bitexact-scalar")
+        batched = plan.execute(a, backend="batched")
+        assert np.isinf(scalar).sum() == 32
+        assert not np.isnan(scalar).any()
+        assert np.array_equal(batched, scalar)
 
 
 class TestFastPath:
@@ -366,16 +345,15 @@ class TestFastPath:
 
     The shapes are the benchmark model's weight sites (``d_model`` 256,
     ``d_ffn`` 1024, ``int4@g[32,4]``) at decode, small-batch and
-    prefill row counts.  The slow paths are patched to raise, so a
-    backend that quietly falls back fails here instead of only running
-    slower.
+    prefill row counts.  The scalar multiplier is patched to raise, so
+    a backend that quietly falls back to it fails here instead of only
+    running slower.
     """
 
     def test_no_fallback_and_plan_state_reused(self, monkeypatch):
         def slow_path(*args, **kwargs):
             raise AssertionError("fell off the fast path")
 
-        monkeypatch.setattr(backends, "execute_fast", slow_path)
         monkeypatch.setattr(backends, "parallel_fp_int_mul", slow_path)
         rng = np.random.default_rng(0)
         for k, n in ((256, 1024), (1024, 256)):

@@ -22,10 +22,8 @@ from repro.serve import (
 )
 
 #: Backends with the row-independence guarantee ("reference" is
-#: BLAS-backed and excluded), plus batched's fallback kernel "fast"
-#: (the ``fast_kernel`` fixture serves it) — same set as
-#: tests/test_serve.py.
-BACKENDS = ("fast", "batched", "bitexact")
+#: BLAS-backed and excluded) — same set as tests/test_serve.py.
+BACKENDS = ("batched", "bitexact")
 
 
 @pytest.fixture(scope="module")
@@ -216,7 +214,6 @@ class TestSnapshotCopyInto:
 class TestBitIdentityWithCache:
     """Cache on == cache off, to the last bit, on every backend."""
 
-    @pytest.mark.usefixtures("fast_kernel")
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_partial_prefix_hit_matches_reference(self, setup, backend):
         config, _, qmodel = setup
@@ -249,8 +246,7 @@ class TestBitIdentityWithCache:
             batch = session.decode_step([slots[1]], [token])
             assert np.array_equal(batch[0], single.decode_step(token))
 
-    @pytest.mark.usefixtures("fast_kernel")
-    @pytest.mark.parametrize("backend", ("fast", "batched"))
+    @pytest.mark.parametrize("backend", ("batched",))
     def test_full_prompt_cached_still_samples(self, setup, backend):
         """Reuse is capped at len-1: an identical prompt re-prefills
         exactly one position and gets the same last row."""
@@ -293,7 +289,6 @@ class TestBitIdentityWithCache:
             session.retire(slots[0])
         assert session.prefix_cache.stats().evictions >= 1
 
-    @pytest.mark.usefixtures("fast_kernel")
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_scheduler_streams_identical_cache_on_off(self, setup, backend):
         config, _, qmodel = setup

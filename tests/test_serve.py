@@ -23,9 +23,8 @@ from repro.serve import (
 
 #: Engine backends whose kernels compute each activation row
 #: independently of the batch (the bit-identity guarantee; "reference"
-#: is BLAS-backed and excluded), plus batched's fallback kernel "fast"
-#: (the ``fast_kernel`` fixture serves it).
-BACKENDS = ("fast", "batched", "bitexact")
+#: is BLAS-backed and excluded).
+BACKENDS = ("batched", "bitexact")
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +96,6 @@ class TestBatchedKVCache:
 class TestBitIdentity:
     """Batched multi-sequence decode == single-sequence decode, per row."""
 
-    @pytest.mark.usefixtures("fast_kernel")
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_ragged_prefill_matches_single(self, setup, backend):
         config, weights, qmodel = setup
@@ -112,7 +110,6 @@ class TestBitIdentity:
         for i, rows in enumerate(ragged):
             assert np.array_equal(rows, singles[i]), (backend, i)
 
-    @pytest.mark.usefixtures("fast_kernel")
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_lockstep_decode_matches_single(self, setup, backend):
         config, weights, qmodel = setup

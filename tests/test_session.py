@@ -40,9 +40,8 @@ class TestKvCacheBitIdentity:
 
     #: Engine backends whose kernels compute each activation row
     #: independently of the batch ("reference" is BLAS-backed and
-    #: carries no such guarantee), plus batched's fallback kernel
-    #: "fast" (the ``fast_kernel`` fixture serves it).
-    BACKENDS = ("fast", "batched", "bitexact")
+    #: carries no such guarantee).
+    BACKENDS = ("batched", "bitexact")
 
     @staticmethod
     def assert_steps_match_forward(session, decoder, tokens, cut):
@@ -53,7 +52,6 @@ class TestKvCacheBitIdentity:
             assert np.array_equal(step, full[cut + i]), i
         assert session.position == tokens.shape[0]
 
-    @pytest.mark.usefixtures("fast_kernel")
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_steps_match_forward(self, setup, backend):
         config, weights, tokens, qmodel = setup

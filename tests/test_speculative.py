@@ -39,9 +39,8 @@ from repro.serve import (
 
 #: Backends whose kernels compute each activation row independently of
 #: the batch (the bit-identity guarantee; "reference" is BLAS-backed
-#: and excluded), plus batched's fallback kernel "fast" (the
-#: ``fast_kernel`` fixture serves it).
-BACKENDS = ("fast", "batched", "bitexact")
+#: and excluded).
+BACKENDS = ("batched", "bitexact")
 DRAFTS = ("bigram", "int2", "oracle", "adversarial", "flaky")
 KS = (1, 2, 4, 8)
 
@@ -113,7 +112,6 @@ def reference_stream(qmodel, prompt, max_new, backend=DEFAULT_BACKEND, eos=None)
 class TestSessionIdentity:
     """SpeculativeSession == InferenceSession.generate, everywhere."""
 
-    @pytest.mark.usefixtures("fast_kernel")
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", DRAFTS)
     @pytest.mark.parametrize("k", KS)

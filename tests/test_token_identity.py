@@ -171,13 +171,12 @@ class TestTokenIdentity:
         got = scheduler_streams(setup, requests, path, backend=backend)
         assert got == reference(backend)
 
-    @pytest.mark.usefixtures("fast_kernel")
-    @pytest.mark.parametrize("backend", ("fast", "batched"))
+    @pytest.mark.parametrize("backend", ("batched",))
     def test_backends_agree_on_the_full_stack(
         self, setup, requests, reference, backend
     ):
-        """The everything-on path on ``batched`` (and on its fallback
-        kernel ``fast``) serves the ``bitexact`` oracle's streams."""
+        """The everything-on path on ``batched`` serves the ``bitexact``
+        oracle's streams."""
         got = scheduler_streams(
             setup, requests, "everything-on", backend=backend
         )
