@@ -174,7 +174,8 @@ class TestCrossBackendAgreement:
     @pytest.mark.parametrize(
         "group", [GroupSpec(8, 4), GroupSpec(32, 1), GroupSpec(4, 16), GroupSpec(16, 16)]
     )
-    def test_batched_and_bitexact_match_scalar_oracle(self, bits, symmetric, group):
+    def test_batched_bitexact_with_fast(self, bits, symmetric, group):
+        """``batched``, the fast default, and ``bitexact`` each equal the scalar oracle."""
         a, qm = _setup(m=5, k=32, n=16, bits=bits, group=group, symmetric=symmetric)
         plan = plan_gemm(qm)
         scalar = plan.execute(a, backend="bitexact-scalar")
