@@ -24,8 +24,8 @@ from repro.llm.transformer import (
     TransformerConfig,
     gemm_shapes,
     init_weights,
-    quantize_weights,
 )
+from repro.model import QuantPolicy, quantize_model
 from repro.quant import GroupSpec
 from repro.simt.memoryhier import GemmShape
 
@@ -54,7 +54,9 @@ def main() -> None:
     print("\n== inference: FP16 vs quantized-through-PacQ ==")
     fp16_logits = Decoder(config, weights).forward(tokens)
     for bits in (4, 2):
-        quantized = quantize_weights(weights, bits=bits, group=GroupSpec(32, 4))
+        quantized = quantize_model(
+            weights, QuantPolicy.uniform(bits, GroupSpec(32, 4)), compute_reports=False
+        )
         q_logits = Decoder(
             config, weights, quantized, backend=args.backend
         ).forward(tokens)

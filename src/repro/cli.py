@@ -3,7 +3,8 @@
 Subcommands (the ``pacq-repro`` interface):
 
 * ``run <experiment> [--set k=v ...]`` — execute one experiment (or
-  ``all``) and print / emit its paper-vs-measured table.
+  ``all``) and print / emit its paper-vs-measured table; ``run table1``
+  prints the configuration table.
 * ``sweep`` — expand a :class:`repro.harness.SweepSpec` (default:
   every engine backend x every Table II group spec) into jobs, execute
   them serially or with ``--jobs N`` worker processes through the
@@ -28,10 +29,6 @@ Subcommands (the ``pacq-repro`` interface):
   SIMT/energy/roofline models (:mod:`repro.codesign`) across an
   architecture grid, writing the merged CSV and regenerating the
   ``docs/codesign.md`` figures section (``--check`` gates staleness).
-
-The seed CLI's single-argument form (``python -m repro table2
-[--backend b]``, plus ``all`` / ``table1`` / ``backends``) keeps
-working as an alias for ``run``.
 """
 
 from __future__ import annotations
@@ -72,10 +69,6 @@ from repro.harness import (
     default_sweep,
     run_jobs,
 )
-
-#: Non-experiment legacy commands.
-_LEGACY_EXTRAS = ("all", "table1")
-
 
 # ---------------------------------------------------------------------------
 # Shared helpers.
@@ -203,6 +196,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     params = _parse_set(args.set or [])
     if args.backend is not None:
         params["backend"] = args.backend
+    if args.experiment == "table1":
+        if params or args.format != "text":
+            raise ConfigError("table1 takes no parameters and prints text only")
+        _print_table1()
+        return 0
     if args.experiment == "all":
         if args.format == "text":
             _print_table1()
@@ -912,50 +910,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Legacy single-argument dispatch (seed CLI compatibility).
-# ---------------------------------------------------------------------------
-
-
-def _legacy_main(argv: list[str]) -> int:
-    names = list(_LEGACY_EXTRAS) + sorted(EXPERIMENT_REGISTRY)
-    parser = argparse.ArgumentParser(
-        prog="pacq-repro",
-        description="Reproduce the tables and figures of the PacQ paper (DAC 2025).",
-    )
-    parser.add_argument("experiment", choices=names, help="experiment to run")
-    parser.add_argument(
-        "--backend",
-        choices=backend_names(),
-        default=None,
-        help="GEMM engine backend for experiments that execute quantized "
-        "GEMMs (default: the experiment's own default)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.experiment == "table1":
-        _print_table1()
-        return 0
-
-    def run_one(name: str) -> None:
-        exp = get_experiment(name)
-        params: dict[str, Any] = {}
-        if args.backend is not None and exp.accepts("backend"):
-            params["backend"] = args.backend
-        _print_result(exp.run(**params))
-
-    if args.experiment == "all":
-        _print_table1()
-        for exp in registered_experiments(include_extensions=False):
-            run_one(exp.name)
-        for exp in registered_experiments():
-            if exp.extension:
-                run_one(exp.name)
-        return 0
-    run_one(args.experiment)
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # Parser assembly.
 # ---------------------------------------------------------------------------
 
@@ -980,9 +934,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one experiment (or 'all')")
+    run_p = sub.add_parser("run", help="run one experiment, 'table1' or 'all'")
     run_p.add_argument("experiment",
-                       choices=["all"] + sorted(EXPERIMENT_REGISTRY))
+                       choices=["all", "table1"] + sorted(EXPERIMENT_REGISTRY))
     run_p.add_argument("--backend", choices=backend_names(), default=None,
                        help="engine backend (where the experiment takes one)")
     run_p.add_argument("--set", action="append", metavar="K=V",
@@ -1219,15 +1173,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI main; returns a process exit code."""
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    # 'codesign' is both a registered experiment (for the harness) and
-    # a subcommand (the capture-replay pipeline); the subcommand wins —
-    # run the experiment form via 'run codesign'.
-    legacy = (set(_LEGACY_EXTRAS) | set(EXPERIMENT_REGISTRY)) - {"codesign"}
-    if argv and argv[0] in legacy:
-        return _legacy_main(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, QuantizationError) as exc:

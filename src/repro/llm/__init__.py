@@ -24,7 +24,6 @@ from repro.llm.transformer import (
     TransformerConfig,
     gemm_shapes,
     init_weights,
-    quantize_weights,
 )
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "evaluate_perplexity",
     "gemm_shapes",
     "init_weights",
-    "quantize_weights",
     "fit_bigram_lm",
     "make_bigram_lm",
     "make_language",

@@ -53,13 +53,15 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.engine import DEFAULT_BACKEND, get_backend, plan_gemm
 from repro.errors import ConfigError
-from repro.quant.groups import GroupSpec
-from repro.quant.rtn import QuantizedMatrix
+
+if TYPE_CHECKING:  # repro.model imports this module
+    from repro.model.policy import QuantizedModel
 
 
 @dataclass(frozen=True)
@@ -152,38 +154,6 @@ def init_weights(config: TransformerConfig, seed: int = 0) -> DecoderWeights:
         )
     final_norm = np.ones(config.d_model)
     return DecoderWeights(embedding, blocks, final_norm, norms)
-
-
-def quantize_weights(
-    weights: DecoderWeights,
-    bits: int = 4,
-    group: GroupSpec | None = None,
-) -> dict[str, QuantizedMatrix]:
-    """RTN-quantize every linear layer; returns name -> quantized matrix.
-
-    Legacy uniform entry point, now a thin wrapper over the policy
-    layer: equivalent to ``quantize_model(weights,
-    QuantPolicy.uniform(bits, group)).matrices()``.  Prefer
-    :func:`repro.model.quantize_model` for mixed-precision recipes,
-    checkpointing and serving.
-
-    Policies only accept the engine-servable widths (INT2/INT4); for
-    the other RTN widths (INT3/INT8, storage/error studies) this
-    wrapper keeps the seed's direct per-layer loop.
-    """
-    from repro.model.policy import SERVABLE_BITS, QuantPolicy, quantize_model
-    from repro.quant.rtn import quantize_rtn
-
-    spec = group if group is not None else GroupSpec(32, 4)
-    if bits not in SERVABLE_BITS:
-        quantized = {}
-        for name, weight in weights.linear_matrices():
-            k, n = weight.shape
-            layer_spec = GroupSpec(min(spec.k, k), min(spec.n, n))
-            quantized[name] = quantize_rtn(weight, bits=bits, group=layer_spec)
-        return quantized
-    policy = QuantPolicy.uniform(bits=bits, group=spec)
-    return quantize_model(weights, policy, compute_reports=False).matrices()
 
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
@@ -449,10 +419,9 @@ class BatchedKVCache:
 class Decoder:
     """Forward-only decoder, optionally running quantized linears.
 
-    ``quantized`` maps layer names to
-    :class:`~repro.quant.rtn.QuantizedMatrix` (the legacy form) or is a
-    :class:`~repro.model.QuantizedModel`; every such matmul routes
-    through the GEMM execution engine (:mod:`repro.engine`): each
+    ``model`` is a :class:`~repro.model.QuantizedModel` (build one with
+    :func:`repro.model.quantize_model`); every matmul it quantizes
+    routes through the GEMM execution engine (:mod:`repro.engine`): each
     weight matrix is planned **once** at construction and the cached
     :class:`~repro.engine.GemmPlan` is executed per call, so per-token
     decoding pays no repeated planning cost.  ``backend`` names the
@@ -475,23 +444,17 @@ class Decoder:
         self,
         config: TransformerConfig,
         weights: DecoderWeights,
-        quantized: "dict[str, QuantizedMatrix] | object | None" = None,
+        model: QuantizedModel | None = None,
         backend: str = DEFAULT_BACKEND,
     ) -> None:
         get_backend(backend)
         self.config = config
         self.weights = weights
         self.backend = backend
-        # Model-level bundles carry activation scales; duck-typed so
-        # this module does not import repro.model (which imports us).
-        if hasattr(quantized, "matrices"):
-            self.quantized = quantized.matrices()
-            act_scales = quantized.activation_scales()
-        else:
-            self.quantized = dict(quantized or {})
-            act_scales = {}
+        matrices = model.matrices() if model is not None else {}
+        act_scales = model.activation_scales() if model is not None else {}
         #: One plan per quantized weight matrix, built up front.
-        self.plans = {name: plan_gemm(qm) for name, qm in self.quantized.items()}
+        self.plans = {name: plan_gemm(qm) for name, qm in matrices.items()}
         #: Reciprocal AWQ equalization scales, applied to activations.
         self._inv_scales = {
             name: 1.0 / np.asarray(scales, dtype=np.float64)

@@ -171,7 +171,7 @@ class QuantPolicy:
         symmetric: bool = False,
         algorithm: str = "rtn",
     ) -> "QuantPolicy":
-        """One recipe for every layer (the legacy ``quantize_weights``)."""
+        """One recipe for every layer."""
         return cls(
             rules=(
                 LayerRule(
@@ -271,7 +271,7 @@ class QuantizedModel:
     kept_fp16: tuple[str, ...] = ()
 
     def matrices(self) -> dict[str, QuantizedMatrix]:
-        """Name -> quantized matrix (the legacy ``Decoder`` mapping)."""
+        """Name -> quantized matrix, for every quantized layer."""
         return {name: layer.matrix for name, layer in self.layers.items()}
 
     def activation_scales(self) -> dict[str, np.ndarray]:
@@ -344,8 +344,7 @@ def quantize_model(
             pass ``False`` when only the matrices are needed.
 
     Group extents are clipped to each layer's dimensions, so one spec
-    covers layers of different shapes (matching the legacy
-    ``quantize_weights`` behaviour).
+    covers layers of different shapes.
     """
     layers: dict[str, QuantizedLayer] = {}
     kept: list[str] = []

@@ -8,9 +8,10 @@ pool of many slots and steps all resident sequences lock-step through
 :meth:`~repro.llm.transformer.Decoder.decode_batch`, so each decode
 step issues **one** GEMM per weight matrix with ``m = active slots``
 rows — the amortization the engine's ``batched`` backend exists for.
-Admission is a ragged prefill (:meth:`join`), retirement frees the
-slot (:meth:`retire`), and every sequence's logits stay bit-identical
-to decoding it alone (see the transformer module docstring for the
+Admission allocates a slot (:meth:`admit`), prompts are ingested by
+ragged prefill (:meth:`prefill_step`), retirement frees the slot
+(:meth:`retire`), and every sequence's logits stay bit-identical to
+decoding it alone (see the transformer module docstring for the
 row-independence argument).
 
 Prefix reuse and chunked prefill
@@ -61,11 +62,9 @@ class BatchedSession:
     the slot pool.  The public surface is slot lifecycle plus the
     lock-step decode:
 
-    * :meth:`join` — admit prompts (ragged prefill, shared GEMMs);
     * :meth:`admit` / :meth:`prefill_step` / :meth:`record_prefix` —
-      the finer-grained admission path: allocate + prefix-cache seed,
-      then ingest the remaining prompt in chunks (what a scheduler
-      interleaves with decoding);
+      allocate + prefix-cache seed, then ingest the remaining prompt in
+      ragged chunks (what a scheduler interleaves with decoding);
     * :meth:`decode_step` — append one token to each given slot, one
       GEMM per weight matrix for the whole batch;
     * :meth:`retire` — evict a sequence and free its slot.
@@ -155,18 +154,15 @@ class BatchedSession:
             )
         return prompt
 
-    def admit(self, prompt: np.ndarray, seed: bool = True) -> tuple[int, int]:
+    def admit(self, prompt: np.ndarray) -> tuple[int, int]:
         """Allocate a slot for ``prompt``, seeded from the prefix cache.
 
         Returns ``(slot, reused)`` where ``reused`` counts the prompt
         tokens whose KV state was copied from the prefix cache
         (0 without a cache or on a miss).  No GEMMs run here; the
         caller ingests ``prompt[reused:]`` via :meth:`prefill_step`.
-        ``seed=False`` skips the cache lookup so it can be deferred to
-        first ingestion via :meth:`seed_prefix` — a scheduler that
-        admits a burst of same-prefix requests wants each lookup as
-        late as possible, after earlier residents have recorded the
-        prefix.
+        Raises :class:`~repro.errors.ConfigError` when no slot is free
+        or the prompt is malformed / longer than the context window.
         """
         prompt = self._check_prompt(prompt)
         if self.cache.free_slots < 1:
@@ -174,8 +170,7 @@ class BatchedSession:
                 f"cannot admit a prompt: all {self.max_slots} slots in use"
             )
         slot = self.cache.allocate()
-        reused = self.seed_prefix(slot, prompt) if seed else 0
-        return slot, reused
+        return slot, self.seed_prefix(slot, prompt)
 
     def seed_prefix(self, slot: int, prompt: np.ndarray) -> int:
         """Copy ``prompt``'s longest cached prefix into an empty slot.
@@ -227,71 +222,6 @@ class BatchedSession:
         prompt = np.asarray(prompt)
         keys, values = self.cache.snapshot(slot, prompt.shape[0])
         return self.prefix_cache.insert(prompt, keys, values)
-
-    def join(
-        self,
-        prompts: Sequence[np.ndarray],
-        prefill_chunk: int | None = None,
-    ) -> tuple[list[int], np.ndarray]:
-        """Admit prompts into fresh slots via ragged prefill.
-
-        Returns ``(slots, last_logits)`` where ``last_logits[i]`` is
-        the logits row of prompt ``i``'s final position — what sampling
-        the first generated token needs.  With a prefix cache
-        installed, each prompt's longest cached prefix is copied in and
-        only the suffix is prefilled; fully ingested prompts are
-        recorded back into the cache.  ``prefill_chunk`` bounds the
-        total prompt tokens per ragged GEMM pass (ingestion loops until
-        done — the interleaving variant is :meth:`admit` +
-        :meth:`prefill_step`, which a scheduler alternates with
-        decodes).  Raises :class:`~repro.errors.ConfigError` when fewer
-        than ``len(prompts)`` slots are free or a prompt is malformed /
-        longer than the context window.
-        """
-        if not prompts:
-            raise ConfigError("join needs at least one prompt")
-        if prefill_chunk is not None and prefill_chunk < 1:
-            raise ConfigError("prefill_chunk must be >= 1 token")
-        checked = [self._check_prompt(p) for p in prompts]
-        if len(checked) > self.cache.free_slots:
-            raise ConfigError(
-                f"cannot join {len(checked)} prompts: only "
-                f"{self.cache.free_slots} of {self.max_slots} slots free"
-            )
-        slots: list[int] = []
-        ingested: list[int] = []
-        for prompt in checked:
-            slot, reused = self.admit(prompt)
-            slots.append(slot)
-            ingested.append(reused)
-        last: list[np.ndarray | None] = [None] * len(checked)
-        while True:
-            batch_slots: list[int] = []
-            batch_chunks: list[np.ndarray] = []
-            batch_index: list[int] = []
-            budget = prefill_chunk
-            for i, prompt in enumerate(checked):
-                remaining = prompt.shape[0] - ingested[i]
-                if remaining == 0:
-                    continue
-                if budget is not None:
-                    if budget == 0:
-                        break
-                    remaining = min(remaining, budget)
-                    budget -= remaining
-                batch_slots.append(slots[i])
-                batch_chunks.append(prompt[ingested[i] : ingested[i] + remaining])
-                batch_index.append(i)
-            if not batch_slots:
-                break
-            rows = self.prefill_step(batch_slots, batch_chunks)
-            for i, chunk, chunk_rows in zip(batch_index, batch_chunks, rows, strict=False):
-                ingested[i] += chunk.shape[0]
-                if ingested[i] == checked[i].shape[0]:
-                    last[i] = chunk_rows[-1]
-        for slot, prompt in zip(slots, checked, strict=False):
-            self.record_prefix(slot, prompt)
-        return slots, np.stack(last)
 
     def decode_step(
         self, slots: Sequence[int], tokens: Sequence[int] | np.ndarray

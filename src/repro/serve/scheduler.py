@@ -8,6 +8,10 @@ with ``m = active`` rows.  Between steps the batch membership changes
 continuously: finished sequences retire immediately (EOS or length
 budget) and waiting requests join via ragged prefill, so the batch
 never drains to refill (the "continuous" in continuous batching).
+Admission happens in one place: a waiting request joins the batch
+between steps, and gets its KV slot from
+:meth:`~repro.serve.batch.BatchedSession.admit` right before its first
+prefill chunk.
 
 Chunked prefill
 ---------------
@@ -16,8 +20,7 @@ Without a bound, admitting a long prompt runs its whole prefill inside
 one step, freezing every resident sequence for the duration
 (seconds to prefill a few hundred tokens vs tens of ms per decode
 token).  ``prefill_chunk`` caps the total prompt tokens
-ingested per step: admission becomes allocate-and-seed (prefix-cache
-copy, no GEMMs), and each step ingests at most ``prefill_chunk``
+ingested per step: each step ingests at most ``prefill_chunk``
 prompt tokens across the partially ingested residents *before* the
 decode pass — so resident sequences keep decoding between chunks, and
 no step's wall time is dominated by a single long prompt.  A request
@@ -31,9 +34,9 @@ Prefix reuse
 When the session carries a
 :class:`~repro.serve.prefix.RadixPrefixCache`, each prompt's longest
 cached prefix is copied into its slot (copy-on-write) and only the
-uncached suffix is prefilled.  The lookup is deferred from admission
-to the request's *first prefill chunk*, and every ingested chunk is
-recorded into the cache immediately — so when a burst of same-prefix
+uncached suffix is prefilled.  The lookup runs at the request's
+*first prefill chunk*, not when it joins the batch, and every ingested
+chunk is recorded into the cache immediately — so when a burst of same-prefix
 requests arrives at once (the shared-system-prompt shape), the first
 request's first chunk publishes the prefix and every later request in
 the burst reuses it instead of re-prefilling it in parallel.
@@ -202,7 +205,7 @@ class _ActiveRequest:
     rng: np.random.Generator
     submitted_step: int
     submitted_time: float
-    slot: int = -1
+    slot: int = -1  #: -1 until ``session.admit`` at its first chunk
     admitted_step: int = -1
     admitted_time: float = 0.0
     ingested: int = 0  #: prompt tokens resident in the slot so far
@@ -342,16 +345,20 @@ class Scheduler:
     # -- the scheduling loop -------------------------------------------------
 
     def _admit(self) -> int:
-        """Allocate slots for queued requests while the batch has room.
+        """Move queued requests into the batch while it has room.
 
-        Admission is allocation only (no GEMMs, no cache lookup); the
-        prompt is ingested by :meth:`_ingest`, bounded per step by
-        ``prefill_chunk``, which also performs the prefix-cache seed
-        right before the request's first chunk — as late as possible,
-        so prefixes recorded by earlier residents are visible to
-        requests that arrived in the same burst.
+        No slot, GEMM or cache lookup here: :meth:`_ingest` calls
+        ``session.admit`` right before a request's first chunk — as
+        late as possible, so prefixes recorded by earlier residents are
+        visible to requests that arrived in the same burst.  Room
+        reserves a free slot for every resident still waiting for its
+        own, so none of them finds the pool full at its first chunk.
         """
-        room = min(self.max_batch - len(self._active), self.session.free_slots)
+        unslotted = sum(1 for s in self._active if s.slot < 0)
+        room = min(
+            self.max_batch - len(self._active),
+            self.session.free_slots - unslotted,
+        )
         joining = []
         while self._queue and len(joining) < room:
             joining.append(self._queue.popleft())
@@ -359,8 +366,6 @@ class Scheduler:
             return 0
         now = time.perf_counter()
         for state in joining:
-            slot, _ = self.session.admit(state.prompt, seed=False)
-            state.slot = slot
             state.admitted_step = self.steps
             state.admitted_time = now
         self._active.extend(joining)
@@ -371,9 +376,9 @@ class Scheduler:
 
         One ragged prefill pass over at most ``prefill_chunk`` total
         prompt tokens (unbounded when ``None``), FIFO across the
-        ingesting requests.  A request's first chunk is preceded by its
-        prefix-cache seed (the deferred lookup — its slot is still
-        empty at that point); every ingested chunk is recorded into the
+        ingesting requests.  A request's first chunk is preceded by
+        ``session.admit``, which allocates its slot and seeds it from
+        the prefix cache; every ingested chunk is recorded into the
         cache so in-flight prompts already share their ingested prefix.
         A request whose prompt completes gets its final logits row
         (sampling starts next).
@@ -389,12 +394,10 @@ class Scheduler:
         for state in pending:
             if budget is not None and taken >= budget:
                 break
-            if state.ingested == 0:
-                reused = self.session.seed_prefix(state.slot, state.prompt)
-                if reused:
-                    state.ingested = reused
-                    state.cached_prefix = reused
-                    self.cached_prefix_tokens += reused
+            if state.slot < 0:
+                state.slot, reused = self.session.admit(state.prompt)
+                state.ingested = state.cached_prefix = reused
+                self.cached_prefix_tokens += reused
             remaining = state.prompt.shape[0] - state.ingested
             if budget is not None:
                 remaining = min(remaining, budget - taken)
@@ -441,9 +444,10 @@ class Scheduler:
     def step(self) -> bool:
         """One scheduler iteration; returns whether any work was done.
 
-        Admit waiting requests into free room (allocate + prefix-cache
-        seed), ingest up to ``prefill_chunk`` prompt tokens across the
-        partially ingested residents, sample one token for every
+        Admit waiting requests into free room, ingest up to
+        ``prefill_chunk`` prompt tokens across the partially ingested
+        residents (a request's first chunk allocates and seeds its
+        slot), sample one token for every
         fully ingested request, retire the ones that hit EOS or their
         length budget, then decode the continuing batch in lock-step
         (one GEMM per weight matrix, ``m`` = continuing requests).

@@ -125,5 +125,5 @@ class TestExtensionExperiments:
     def test_cli_runs_extensions(self, capsys):
         from repro.cli import main
 
-        assert main(["area"]) == 0
+        assert main(["run", "area"]) == 0
         assert "area overhead" in capsys.readouterr().out

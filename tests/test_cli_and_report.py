@@ -1,5 +1,7 @@
 """Tests for the CLI and the report renderer."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -36,20 +38,31 @@ class TestRenderTable:
 class TestCli:
     @pytest.mark.parametrize("name", ["fig7a", "fig7b", "fig9", "fig12b", "table1"])
     def test_runs_fast_experiments(self, name, capsys):
-        assert main([name]) == 0
+        assert main(["run", name]) == 0
         out = capsys.readouterr().out
         assert name.split("_")[0] in out or name in out
 
+    def test_run_table1_prints_table_one(self, capsys):
+        assert main(["run", "table1"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("table1: configuration of PacQ and baselines")
+        assert "Parallel FP-INT-16 DP-4" in out
+        assert "4 parallel FP-INT-16 MUL, 8 FP16 adders" in out
+        assert main(["run", "table1", "--backend", "batched"]) == 1
+        assert "table1 takes no parameters" in capsys.readouterr().err
+        assert main(["run", "table1", "--format", "json"]) == 1
+        assert "prints text only" in capsys.readouterr().err
+
     def test_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
-            main(["fig99"])
+            main(["run", "fig99"])
 
     def test_requires_argument(self):
         with pytest.raises(SystemExit):
             main([])
 
     def test_fig7a_prints_paper_column(self, capsys):
-        main(["fig7a"])
+        main(["run", "fig7a"])
         out = capsys.readouterr().out
         assert "paper" in out
         assert "0.368" in out
@@ -57,18 +70,22 @@ class TestCli:
     def test_backends_listing(self, capsys):
         # No listing command: an invalid --backend names every backend.
         with pytest.raises(SystemExit):
-            main(["table2", "--backend", "fast"])
+            main(["run", "table2", "--backend", "fast"])
         err = capsys.readouterr().err
         for name in ("reference", "batched", "bitexact", "bitexact-scalar"):
             assert repr(name) in err
 
     def test_backend_flag_accepted(self, capsys):
-        # fig7a does not take a backend; the flag must still parse.
-        assert main(["fig7a", "--backend", "batched"]) == 0
+        argv = ["run", "table2", "--backend", "bitexact", "--set", "vocab=64",
+                "--set", "d_model=256", "--set", "corpus_len=64",
+                "--set", "spec=g128", "--format", "json"]
+        assert main(argv) == 0
+        [record] = json.loads(capsys.readouterr().out)
+        assert record["params"]["backend"] == "bitexact"
 
     def test_backend_flag_rejects_unknown(self):
         with pytest.raises(SystemExit):
-            main(["table2", "--backend", "warp-drive"])
+            main(["run", "table2", "--backend", "warp-drive"])
 
 
 class TestModelCli:

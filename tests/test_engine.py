@@ -373,35 +373,28 @@ class TestFastPath:
 
 class TestDecoderIntegration:
     def test_decoder_caches_one_plan_per_matrix(self):
-        from repro.llm.transformer import (
-            Decoder,
-            TransformerConfig,
-            init_weights,
-            quantize_weights,
-        )
+        from repro.llm.transformer import Decoder, TransformerConfig, init_weights
+        from repro.model import QuantPolicy, quantize_model
 
         config = TransformerConfig(vocab=32, d_model=32, n_heads=2, n_layers=1, d_ffn=64)
         weights = init_weights(config, seed=0)
-        quantized = quantize_weights(weights, bits=4)
-        decoder = Decoder(config, weights, quantized)
+        model = quantize_model(weights, QuantPolicy.uniform(4), compute_reports=False)
+        quantized = model.matrices()
+        decoder = Decoder(config, weights, model)
         assert set(decoder.plans) == set(quantized)
         for name, plan in decoder.plans.items():
             assert plan is plan_gemm(quantized[name])
 
     def test_decoder_backends_bit_identical(self):
-        from repro.llm.transformer import (
-            Decoder,
-            TransformerConfig,
-            init_weights,
-            quantize_weights,
-        )
+        from repro.llm.transformer import Decoder, TransformerConfig, init_weights
+        from repro.model import QuantPolicy, quantize_model
 
         config = TransformerConfig(vocab=32, d_model=32, n_heads=2, n_layers=1, d_ffn=64)
         weights = init_weights(config, seed=0)
-        quantized = quantize_weights(weights, bits=4)
+        model = quantize_model(weights, QuantPolicy.uniform(4), compute_reports=False)
         tokens = np.arange(8)
-        batched = Decoder(config, weights, quantized).forward(tokens)
-        bitexact = Decoder(config, weights, quantized, backend="bitexact").forward(tokens)
+        batched = Decoder(config, weights, model).forward(tokens)
+        bitexact = Decoder(config, weights, model, backend="bitexact").forward(tokens)
         assert np.array_equal(batched, bitexact)
 
 

@@ -277,18 +277,26 @@ class TestReportCli:
 
 
 class TestCliCompat:
-    """The seed CLI's single-argument form must keep working."""
+    """Every experiment runs through ``run``; the seed CLI's bare
+    ``python -m repro <experiment>`` alias is gone."""
 
     def test_legacy_experiment_alias(self, capsys):
-        assert main(["fig9"]) == 0
-        assert "fig9" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig9"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "invalid choice: 'fig9'" in err
 
     def test_legacy_backend_flag(self, capsys):
-        assert main(["fig7a", "--backend", "batched"]) == 0
+        # fig7a takes no backend: 'run' refuses the flag, where the
+        # removed alias dropped it silently.
+        assert main(["run", "fig7a", "--backend", "batched"]) == 1
+        assert "does not accept parameter(s) backend" in capsys.readouterr().err
 
     def test_legacy_table1_and_backends(self, capsys):
-        assert main(["table1"]) == 0
-        assert "table1" in capsys.readouterr().out
+        # Table I is 'run table1' now (tests/test_cli_and_report.py).
+        with pytest.raises(SystemExit):
+            main(["table1"])
         # The backend listing command is gone: --backend's choices name
         # the backends instead.
         with pytest.raises(SystemExit):

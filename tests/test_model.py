@@ -10,7 +10,6 @@ from repro.llm.transformer import (
     Decoder,
     TransformerConfig,
     init_weights,
-    quantize_weights,
 )
 from repro.model import (
     InferenceSession,
@@ -23,6 +22,7 @@ from repro.model import (
 )
 from repro.model.checkpoint import MANIFEST_NAME
 from repro.quant.groups import GroupSpec
+from repro.quant.rtn import quantize_rtn
 
 
 @pytest.fixture(scope="module")
@@ -91,24 +91,23 @@ class TestPolicyParsing:
 
 
 class TestQuantizeModel:
-    def test_uniform_matches_legacy_quantize_weights(self, setup):
+    def test_uniform_matches_per_layer_rtn(self, setup):
+        # A uniform policy is per-layer RTN with the group clipped to
+        # each layer's dims (g[128,4] is taller than every layer here).
         _, weights = setup
-        legacy = quantize_weights(weights, bits=4, group=GroupSpec(8, 4))
-        policy = QuantPolicy.uniform(bits=4, group=GroupSpec(8, 4))
-        model = quantize_model(weights, policy)
-        assert set(model.layers) == set(legacy)
-        for name, qm in legacy.items():
-            assert np.array_equal(model.layers[name].matrix.codes, qm.codes)
-            assert np.array_equal(model.layers[name].matrix.scales, qm.scales)
-
-    @pytest.mark.parametrize("bits", [3, 8])
-    def test_legacy_quantize_weights_keeps_nonservable_widths(self, setup, bits):
-        # The seed's quantize_weights accepted every RTN width; the
-        # policy-backed wrapper must not regress INT3/INT8 studies.
-        _, weights = setup
-        quantized = quantize_weights(weights, bits=bits, group=GroupSpec(8, 4))
-        assert len(quantized) == len(weights.linear_matrices())
-        assert all(qm.bits == bits for qm in quantized.values())
+        spec = GroupSpec(128, 4)
+        model = quantize_model(weights, QuantPolicy.uniform(bits=4, group=spec))
+        names = [name for name, _ in weights.linear_matrices()]
+        assert sorted(model.layers) == sorted(names)
+        for name, weight in weights.linear_matrices():
+            k, n = weight.shape
+            clipped = GroupSpec(min(spec.k, k), min(spec.n, n))
+            expect = quantize_rtn(weight, bits=4, group=clipped)
+            got = model.layers[name].matrix
+            assert got.group == clipped
+            assert np.array_equal(got.codes, expect.codes)
+            assert np.array_equal(got.scales, expect.scales)
+            assert np.array_equal(got.zeros, expect.zeros)
 
     def test_mixed_precision_bits(self, setup):
         _, weights = setup
@@ -180,6 +179,25 @@ class TestQuantizeModel:
             assert np.array_equal(
                 awq.layers[name].matrix.codes, rtn.layers[name].matrix.codes
             )
+
+    def test_decoder_divides_activations_by_awq_scales(self, setup):
+        # AWQ folds s into the weight rows, so the layer's plan must see
+        # x / s; without the division every input channel is off by s.
+        config, weights = setup
+        profile = 2.0 ** np.arange(config.d_model) % 61 + 1.0
+        model = quantize_model(
+            weights,
+            parse_policy("layer0.wq=awq4@g[8,4]"),
+            calibration={"layer0.wq": profile},
+            compute_reports=False,
+        )
+        scales = model.activation_scales()["layer0.wq"]
+        assert scales.max() / scales.min() > 2
+        decoder = Decoder(config, weights, model)
+        x = np.random.default_rng(4).normal(size=(3, config.d_model))
+        expect = decoder.plans["layer0.wq"].execute(x / scales[None, :])
+        got = decoder._linear(x, 0, "wq")
+        assert np.linalg.norm(got - expect) <= 1e-3 * np.linalg.norm(expect)
 
     def test_plain_mapping_input(self):
         rng = np.random.default_rng(0)
@@ -329,17 +347,6 @@ class TestCheckpoint:
 
 
 class TestDecoderShims:
-    def test_legacy_dict_still_accepted(self, setup):
-        config, weights = setup
-        tokens = np.arange(10) % config.vocab
-        legacy = quantize_weights(weights, bits=4, group=GroupSpec(8, 4))
-        model = quantize_model(
-            weights, QuantPolicy.uniform(bits=4, group=GroupSpec(8, 4))
-        )
-        via_dict = Decoder(config, weights, legacy).forward(tokens)
-        via_model = Decoder(config, weights, model).forward(tokens)
-        assert np.array_equal(via_dict, via_model)
-
     def test_fallback_w16_cached_at_construction(self, setup):
         config, weights = setup
         decoder = Decoder(config, weights)  # nothing quantized
@@ -350,7 +357,11 @@ class TestDecoderShims:
             weights.blocks[0]["wq"].astype(np.float16).astype(np.float64),
         )
         # Quantized layers get plans, not fallback copies.
-        q = quantize_weights(weights, bits=4, group=GroupSpec(8, 4))
+        q = quantize_model(
+            weights,
+            QuantPolicy.uniform(4, GroupSpec(8, 4)),
+            compute_reports=False,
+        )
         quantized = Decoder(config, weights, q)
         assert key not in quantized._w16
         assert key in quantized.plans

@@ -38,6 +38,17 @@ def setup():
     return config, weights, qmodel
 
 
+def ingest(session, prompt):
+    """Admit ``prompt``, prefill its uncached suffix, record it.
+
+    Returns ``(slot, last_row)``: the final position's logits row.
+    """
+    slot, reused = session.admit(prompt)
+    [rows] = session.prefill_step([slot], [prompt[reused:]])
+    session.record_prefix(slot, prompt)
+    return slot, rows[-1]
+
+
 def fake_kv(tokens):
     """Synthetic per-token KV blocks: position ``i`` carries ``tokens[i]``.
 
@@ -234,9 +245,9 @@ class TestBitIdentityWithCache:
         slots = []
         for prompt in prompts:
             reference = InferenceSession(qmodel, backend=backend)
-            slot_list, last = session.join([prompt])
-            assert np.array_equal(last[0], reference.prefill(prompt)[-1])
-            slots.append(slot_list[0])
+            slot, last = ingest(session, prompt)
+            assert np.array_equal(last, reference.prefill(prompt)[-1])
+            slots.append(slot)
         stats = session.prefix_cache.stats()
         assert stats.hits == 1 and stats.hit_tokens == 12
         # decoding a cache-seeded slot stays exact too
@@ -259,8 +270,8 @@ class TestBitIdentityWithCache:
             prefix_cache=RadixPrefixCache(1 << 20),
         )
         prompt = np.arange(9) % config.vocab
-        _, first = session.join([prompt])
-        _, second = session.join([prompt])
+        _, first = ingest(session, prompt)
+        _, second = ingest(session, prompt)
         assert np.array_equal(first, second)
         # the tree matches all 9 tokens; the session reuses only 8
         assert session.prefix_cache.stats().hit_tokens == 9
@@ -284,9 +295,9 @@ class TestBitIdentityWithCache:
         reference = InferenceSession(qmodel)
         expect = reference.prefill(prompt)[-1]
         for _ in range(3):
-            slots, last = session.join([prompt])
-            assert np.array_equal(last[0], expect)
-            session.retire(slots[0])
+            slot, last = ingest(session, prompt)
+            assert np.array_equal(last, expect)
+            session.retire(slot)
         assert session.prefix_cache.stats().evictions >= 1
 
     @pytest.mark.parametrize("backend", BACKENDS)

@@ -86,10 +86,10 @@ class TestReconstruction:
         weights = _weights(128, 16)
         spec = GroupSpec(32, 4)
         errs = []
-        for bits in (2, 4, 8):
+        for bits in (2, 3, 4, 8):
             qm = quantize_rtn(weights, bits, spec)
             errs.append(np.mean((weights - qm.dequantize()) ** 2))
-        assert errs[0] > errs[1] > errs[2]
+        assert errs[0] > errs[1] > errs[2] > errs[3]
 
     @given(
         arrays(

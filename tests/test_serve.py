@@ -177,30 +177,46 @@ class TestBitIdentity:
         assert cache.capacity == 14
 
 
+def admit_and_prefill(session, prompts):
+    """Admit each prompt, prefill all of them in one ragged pass.
+
+    Returns ``(slots, rows)`` with one ``[len, vocab]`` logits array
+    per prompt.
+    """
+    slots = [session.admit(prompt)[0] for prompt in prompts]
+    return slots, session.prefill_step(slots, prompts)
+
+
 class TestBatchedSession:
     def test_join_returns_last_rows(self, setup):
+        # A prompt joins by admit + one ragged prefill_step.
         config, _, qmodel = setup
         session = make_session(qmodel)
         reference = InferenceSession(qmodel)
         prompts = [np.arange(5) % config.vocab, np.arange(3) % config.vocab]
-        slots, last = session.join(prompts)
-        assert len(slots) == 2 and last.shape == (2, config.vocab)
+        slots, rows = admit_and_prefill(session, prompts)
+        assert len(slots) == 2
         for i, prompt in enumerate(prompts):
-            assert np.array_equal(last[i], reference.prefill(prompt)[-1])
+            assert rows[i].shape == (prompt.shape[0], config.vocab)
+            assert np.array_equal(rows[i][-1], reference.prefill(prompt)[-1])
             assert session.position(slots[i]) == prompt.shape[0]
 
     def test_join_overflow_rejected(self, setup):
         _, _, qmodel = setup
         session = make_session(qmodel, max_slots=2)
-        with pytest.raises(ConfigError, match="slots free"):
-            session.join([np.array([1]), np.array([2]), np.array([3])])
+        session.admit(np.array([1]))
+        session.admit(np.array([2]))
+        with pytest.raises(ConfigError, match="all 2 slots in use"):
+            session.admit(np.array([3]))
+        assert session.free_slots == 0
 
     def test_join_rejects_long_prompt(self, setup):
         config, _, qmodel = setup
         session = make_session(qmodel)
         too_long = np.zeros(config.max_seq + 1, dtype=np.int64)
         with pytest.raises(ConfigError, match=f"max_seq={config.max_seq}"):
-            session.join([too_long])
+            session.admit(too_long)
+        assert session.free_slots == session.max_slots  # nothing allocated
 
     def test_decode_unprefilled_slot(self, setup):
         _, _, qmodel = setup
@@ -212,9 +228,9 @@ class TestBatchedSession:
     def test_retire_frees_slot(self, setup):
         _, _, qmodel = setup
         session = make_session(qmodel, max_slots=1)
-        slots, _ = session.join([np.array([1, 2])])
-        assert session.free_slots == 0
-        session.retire(slots[0])
+        slot, reused = session.admit(np.array([1, 2]))
+        assert reused == 0 and session.free_slots == 0
+        session.retire(slot)
         assert session.free_slots == 1
 
 
@@ -308,6 +324,43 @@ class TestScheduler:
         assert 0 < stats.mean_occupancy <= 1.0
         assert stats.total_new_tokens == sum(2 + i for i in range(5))
         assert stats.aggregate_tokens_per_s > 0
+
+    def test_admits_once_right_before_first_chunk(self, setup):
+        """``session.admit`` runs once per request, in the pass that
+        ingests its first prompt chunk, and always finds a free slot —
+        also for residents the chunk budget left waiting a step, and
+        with one slot held outside the scheduler."""
+        config, _, qmodel = setup
+        session = make_session(qmodel, max_slots=3, capacity=64)
+        held, _ = session.admit(np.array([1]))
+        events: list[tuple[str, list[int]]] = []
+        admit, prefill_step = session.admit, session.prefill_step
+
+        def recording_admit(prompt):
+            slot, reused = admit(prompt)
+            events.append(("admit", [slot]))
+            return slot, reused
+
+        def recording_prefill(slots, chunks):
+            events.append(("prefill", list(slots)))
+            return prefill_step(slots, chunks)
+
+        session.admit = recording_admit
+        session.prefill_step = recording_prefill
+        rng = np.random.default_rng(13)
+        requests = [
+            Request(prompt=rng.integers(0, config.vocab, size=n), max_new=3)
+            for n in (9, 7, 5, 11, 3)
+        ]
+        results = Scheduler(session, prefill_chunk=4).run(requests)
+        assert len(results) == len(requests)
+        admits = [i for i, (kind, _) in enumerate(events) if kind == "admit"]
+        assert len(admits) == len(requests)
+        for i in admits:
+            # the next prefill pass carries the freshly admitted slot
+            _, slots = next(e for e in events[i + 1 :] if e[0] == "prefill")
+            assert events[i][1][0] in slots
+        assert session.active_slots == [held]
 
     def test_max_batch_validated(self, setup):
         _, _, qmodel = setup
@@ -454,23 +507,31 @@ class TestChunkedPrefill:
         _, _, qmodel = setup
         with pytest.raises(ConfigError, match="prefill_chunk"):
             Scheduler(make_session(qmodel), prefill_chunk=0)
-        with pytest.raises(ConfigError, match="prefill_chunk"):
-            make_session(qmodel).join([np.array([1])], prefill_chunk=0)
 
     def test_join_chunked_matches_monolithic(self, setup):
+        """Every logits row of a prompt ingested in 6-token ragged
+        chunks equals the same row of a one-pass prefill."""
         config, _, qmodel = setup
         rng = np.random.default_rng(11)
         prompts = [rng.integers(0, config.vocab, size=n) for n in (17, 5, 26)]
-        _, mono = make_session(qmodel, capacity=32).join(prompts)
-        _, chunked = make_session(qmodel, capacity=32).join(
-            prompts, prefill_chunk=6
-        )
-        assert np.array_equal(mono, chunked)
+        _, mono = admit_and_prefill(make_session(qmodel, capacity=32), prompts)
+        session = make_session(qmodel, capacity=32)
+        slots = [session.admit(prompt)[0] for prompt in prompts]
+        chunked: list[list[np.ndarray]] = [[] for _ in prompts]
+        for start in range(0, max(p.shape[0] for p in prompts), 6):
+            live = [i for i, p in enumerate(prompts) if start < p.shape[0]]
+            rows = session.prefill_step(
+                [slots[i] for i in live], [prompts[i][start : start + 6] for i in live]
+            )
+            for i, chunk_rows in zip(live, rows, strict=True):
+                chunked[i].append(chunk_rows)
+        for i in range(len(prompts)):
+            assert np.array_equal(np.concatenate(chunked[i]), mono[i])
 
 
 class TestSlotChurn:
     def test_slot_reuse_after_release_under_churn(self, setup):
-        """Interleaved join/decode/retire keeps every slot's state
+        """Interleaved admit/decode/retire keeps every slot's state
         exact: a freed slot re-admits a fresh prompt whose rows match a
         clean single-sequence session."""
         config, _, qmodel = setup
@@ -482,8 +543,8 @@ class TestSlotChurn:
             prompt = rng.integers(0, config.vocab, size=int(rng.integers(3, 9)))
             reference = InferenceSession(qmodel)
             expect = reference.prefill(prompt)[-1]
-            slots, last = session.join([prompt])
-            assert np.array_equal(last[0], expect)
+            slots, rows = admit_and_prefill(session, [prompt])
+            assert np.array_equal(rows[0][-1], expect)
             resident[slots[0]] = reference
 
         admit_one()

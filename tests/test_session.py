@@ -10,7 +10,6 @@ from repro.llm.transformer import (
     Decoder,
     TransformerConfig,
     init_weights,
-    quantize_weights,
 )
 from repro.model import (
     InferenceSession,
@@ -82,11 +81,14 @@ class TestKvCacheBitIdentity:
         model = quantize_model(
             weights, parse_policy("layer*.w[qkvo]=int4@g[8,4]"), config=config
         )
-        q = quantize_weights(weights, bits=4, group=GroupSpec(8, 4))
-        only_attn = {k: v for k, v in q.items() if ".w" in k and "w_" not in k}
-        assert sorted(model.matrices()) == sorted(only_attn)
+        attention = [
+            f"layer{i}.{name}"
+            for i in range(config.n_layers)
+            for name in ("wq", "wk", "wv", "wo")
+        ]
+        assert sorted(model.matrices()) == sorted(attention)
         session = InferenceSession(model)
-        decoder = Decoder(config, weights, only_attn)
+        decoder = Decoder(config, weights, model)
         self.assert_steps_match_forward(session, decoder, tokens, 4)
 
     def test_cache_misuse_rejected(self, setup):

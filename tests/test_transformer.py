@@ -9,9 +9,16 @@ from repro.llm.transformer import (
     TransformerConfig,
     gemm_shapes,
     init_weights,
-    quantize_weights,
 )
+from repro.model import QuantPolicy, parse_policy, quantize_model
+from repro.model.policy import DEFAULT_GROUP
 from repro.quant.groups import GroupSpec
+
+
+def quantize(weights, bits=4, group=DEFAULT_GROUP):
+    return quantize_model(
+        weights, QuantPolicy.uniform(bits, group), compute_reports=False
+    )
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +85,7 @@ class TestQuantizedForward:
     def test_quantized_logits_drift_bounded(self, setup):
         config, weights, tokens = setup
         base = Decoder(config, weights).forward(tokens)
-        q = quantize_weights(weights, bits=4, group=GroupSpec(8, 4))
+        q = quantize(weights, 4, GroupSpec(8, 4))
         quant = Decoder(config, weights, q).forward(tokens)
         drift = np.linalg.norm(quant - base) / np.linalg.norm(base)
         assert 0 < drift < 0.5
@@ -88,27 +95,30 @@ class TestQuantizedForward:
         base = Decoder(config, weights).forward(tokens)
         drifts = {}
         for bits in (4, 2):
-            q = quantize_weights(weights, bits=bits, group=GroupSpec(8, 4))
+            q = quantize(weights, bits, GroupSpec(8, 4))
             out = Decoder(config, weights, q).forward(tokens)
             drifts[bits] = np.linalg.norm(out - base)
         assert drifts[2] > drifts[4]
 
     def test_quantizes_every_linear(self, setup):
         config, weights, _ = setup
-        q = quantize_weights(weights, bits=4)
-        assert len(q) == 7 * config.n_layers
+        q = quantize(weights)
+        assert len(q.layers) == 7 * config.n_layers
 
     def test_partial_quantization_supported(self, setup):
         config, weights, tokens = setup
-        q = quantize_weights(weights, bits=4, group=GroupSpec(8, 4))
-        only_ffn = {k: v for k, v in q.items() if "w_up" in k}
-        out = Decoder(config, weights, only_ffn).forward(tokens)
-        assert np.all(np.isfinite(out))
+        only_ffn = quantize_model(
+            weights, parse_policy("layer*.w_up=int4@g[8,4]"), compute_reports=False
+        )
+        assert sorted(only_ffn.layers) == ["layer0.w_up", "layer1.w_up"]
+        decoder = Decoder(config, weights, only_ffn)
+        assert sorted(decoder.plans) == sorted(only_ffn.layers)
+        assert np.all(np.isfinite(decoder.forward(tokens)))
 
     def test_group_spec_clipped_to_layer_dims(self, setup):
         _, weights, _ = setup
-        q = quantize_weights(weights, bits=4, group=GroupSpec(4096, 4096))
-        for qm in q.values():
+        q = quantize(weights, 4, GroupSpec(4096, 4096))
+        for qm in q.matrices().values():
             assert qm.group.k <= qm.k_dim
             assert qm.group.n <= qm.n_dim
 
