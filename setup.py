@@ -19,5 +19,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy"],
+    install_requires=["numpy"],
+    # The engine's C kernel, compiled on first use.
+    package_data={"repro.engine": ["*.c"]},
 )

@@ -21,7 +21,7 @@ Since the engine refactor this module is a thin dispatcher into
 step and a repeated **execute** step:
 
 * :func:`repro.engine.plan_gemm` precomputes per-weight-matrix state
-  (channel indices and their CSR selector, folded ``rebias - zero``
+  (channel indices and their 1-byte channel codes, folded ``rebias - zero``
   adjustments, expanded scale grids, pack layout) into a cached
   :class:`repro.engine.GemmPlan`;
 * :meth:`GemmPlan.execute(a, backend=...) <repro.engine.GemmPlan.execute>`
@@ -34,8 +34,8 @@ execute many times.  Backends:
 
 * ``"batched"`` (the default) — FP16-rounded transformed products with
   wide accumulation (tensor-core FP32-accumulate behaviour), gathered
-  from a table of every FP16 input's products and group-summed by a
-  sparse selector; use for real workloads;
+  from a table of every FP16 input's products and group-summed by the
+  engine's compiled contraction; use for real workloads;
 * ``"bitexact"`` — every product goes through the bit-level parallel
   multiplier of :mod:`repro.multiplier.parallel`, vectorized; the
   datapath oracle;

@@ -5,8 +5,8 @@ The engine splits PacQ's hyper-asymmetric GEMM into two steps:
 1. **Plan** (:func:`plan_gemm` / :class:`GemmPlan`) — one-time,
    per-weight-matrix: signed codes and their channel indices, folded
    ``rebias - zero`` group adjustments, expanded scale grids, and
-   (lazily) the CSR channel selector, the dequantized reference
-   operand and the packed layout.
+   (lazily) the ``[n, k]`` uint8 channel codes, the dequantized
+   reference operand and the packed layout.
 2. **Execute** (:meth:`GemmPlan.execute`) — the repeated hot path,
    dispatched through one backend of the table in
    :mod:`repro.engine.backends`.
@@ -17,15 +17,16 @@ Backends:
 name            strategy                                         transformed
 =============== ================================================ ===========
 reference       dequantize to FP16, then matmul (baseline flow)  no
-batched         CSR selector over a product table (the default)  yes
+batched         compiled contraction over a product table        yes
 bitexact        vectorized bit-level multiplier (the oracle)     yes
 bitexact-scalar per-element bit-level multiplier (slow oracle)   yes
 =============== ================================================ ===========
 
-``batched``, ``bitexact`` and ``bitexact-scalar`` are bit-identical:
-``batched`` and ``bitexact`` share one contraction and differ only in
-where their products come from (a table built once, or the datapath
-evaluated per call).
+``batched`` (the default), ``bitexact`` and ``bitexact-scalar`` are
+bit-identical: ``batched`` and ``bitexact`` share one contraction, a C
+kernel (``contract.c``) that :mod:`repro.engine.native` compiles on
+first use, and differ only in where their products come from (a table
+built once, or the datapath evaluated per call).
 
 Typical use::
 

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from repro.engine.native import contract_kernel
 from repro.errors import QuantizationError
 from repro.fp import fp16, vec
 from repro.multiplier.parallel import parallel_fp_int_mul, rebias_offset
@@ -74,44 +75,38 @@ def _contract(a16: np.ndarray, products: np.ndarray, plan: GemmPlan) -> np.ndarr
 
     ``products[k, i, c]`` is the FP16-rounded product of ``a16[i, k]``
     with transformed weight ``1024 + c``: every product the call needs.
-    The plan's CSR :attr:`~repro.engine.plan.GemmPlan.selector` picks and
-    group-sums one per ``(k, n)``, a vectorized epilogue applies
-    Eq. (1), adjust and scale, and the ``gk`` groups are added in index
-    order.  Bit-for-bit equal to ``bitexact-scalar`` at every
-    ``group_k``:
+    The compiled kernel (``contract.c``, built by :mod:`repro.engine.native`)
+    reads the plan's 1-byte :attr:`~repro.engine.plan.GemmPlan.codes`,
+    adds the one selected product per ``(k, n)`` in ascending k from
+    ``0.0``, then applies Eq. (1), adjust and scale and adds the ``gk``
+    groups in index order, in the same loop.  Bit-for-bit equal to
+    ``bitexact-scalar`` at every ``group_k``: the kernel performs the
+    oracle's operations in the oracle's order, sum(A) included, and is
+    compiled without FMA contraction or fast-math.  Only selected
+    products are added, so a saturated ``inf`` never meets ``inf * 0``.
 
-    * each selector row adds its products in stored order, ascending k,
-      for every column whatever ``m`` is: the oracle's ``s1 +=`` order,
-      so sums round alike even where order matters.  CSR stores no
-      zeros, so a saturated ``inf`` never meets ``inf * 0``;
-    * ``sum(A)`` is exact wherever it reaches the output.  An
-      activation with a finite product has ``|a| < 64``, so while all of
-      a group's do, the sum stays below ``2**6 * group_k`` at ``2**-24``
-      granularity: exact in float64 up to ``group_k = 2**23``.  An
-      activation with none makes every product sum of its group, and so
-      every output, ``inf`` or NaN whatever ``sum(A)`` is;
-    * the epilogue applies the oracle's operations in the oracle's
-      order, and the ``gk`` sum runs left to right like its ``out +=``.
+    Raises:
+        KernelBuildError: the kernel cannot be compiled (first use only).
     """
     m = a16.shape[0]
-    # The selector's column order: [k * channels, m].
-    operand = products.transpose(0, 2, 1).reshape(plan.k_dim * plan.channels, m)
-    # detlint: ignore[D001]: CSR selection, not BLAS — scipy's csr_matvecs
-    # adds each row's nonzeros in stored (ascending-k) order for every
-    # column, whatever m is.
-    acc = (plan.selector @ operand).reshape(plan.gk, plan.n_dim, m)
-    a_blk = a16.astype(np.float64).reshape(m, plan.gk, plan.group_k)
-    # detlint: ignore[D003]: exact wherever it reaches the output (see the
-    # sum(A) bullet of the docstring), so no order can change a result.
-    s_a = a_blk.sum(axis=2).T[:, None, :]  # [gk, 1, m] sum(A) accumulators
-    # In place on the [gk, n, m] group partials: the same operations, in
-    # the same order, as scale * ((s1 - offset * s_a) + adjust * s_a).
-    acc -= plan.offset * s_a  # Eq. (1): sum(A * signed)
-    acc += plan.adjust_rows[:, :, None] * s_a
-    acc *= plan.scale_rows[:, :, None]
-    # detlint: ignore[D003]: reduces the gk group axis, whose length is fixed
-    # by the plan alone — batch-independent, added in index order.
-    return np.ascontiguousarray(acc.sum(axis=0).T)
+    out = np.empty((m, plan.n_dim))
+    status = contract_kernel()(
+        np.ascontiguousarray(products, dtype=np.float64),
+        np.ascontiguousarray(a16, dtype=np.float64),
+        plan.codes,
+        plan.scale_rows,
+        plan.adjust_rows,
+        plan.offset,
+        m,
+        plan.k_dim,
+        plan.n_dim,
+        plan.channels,
+        plan.group_k,
+        out,
+    )
+    if status:
+        raise MemoryError("the contraction kernel could not allocate its row tiles")
+    return out
 
 
 def execute_batched(a: np.ndarray, plan: GemmPlan) -> np.ndarray:

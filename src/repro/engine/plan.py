@@ -20,9 +20,9 @@ Precomputed (eagerly, at plan time):
 
 Computed lazily (first use, then cached on the plan):
 
-* ``selector`` — the CSR channel selector of the ``batched`` and
-  ``bitexact`` contraction, one nonzero per weight (12 B each); the
-  products it selects come from the backend, not from the plan;
+* ``codes`` — the ``[n, k]`` uint8 channel codes the compiled
+  contraction of ``batched`` and ``bitexact`` reads (1 B per weight);
+  the products they select come from the backend, not from the plan;
 * ``w16`` — FP16-rounded dequantized weights (the ``reference``
   backend's operand);
 * ``packed`` — the ``P(Bx)n`` packed storage layout.
@@ -37,7 +37,6 @@ from __future__ import annotations
 import weakref
 
 import numpy as np
-import scipy.sparse
 
 from repro.engine.backends import DEFAULT_BACKEND, get_backend
 from repro.errors import QuantizationError
@@ -87,14 +86,18 @@ class GemmPlan:
         else:
             self.adjust = rebias_offset(qm.bits) - qm.zeros
         # Row-expanded [gk, n] grids so scale/adjust application needs
-        # no per-group indexing.
-        self.scale_rows: np.ndarray = np.repeat(self.scales, self.group_n, axis=1)
-        self.adjust_rows: np.ndarray = np.repeat(self.adjust, self.group_n, axis=1)
+        # no per-group indexing; float64, the type the contraction reads.
+        self.scale_rows: np.ndarray = np.repeat(
+            self.scales, self.group_n, axis=1
+        ).astype(np.float64, copy=False)
+        self.adjust_rows: np.ndarray = np.repeat(
+            self.adjust, self.group_n, axis=1
+        ).astype(np.float64, copy=False)
 
         self._qm_ref = weakref.ref(qm)
         self._w16: np.ndarray | None = None
         self._packed = None
-        self._selector: scipy.sparse.csr_matrix | None = None
+        self._codes: np.ndarray | None = None
         #: Executions per activation row count ``m``.  Nothing in the
         #: plan depends on ``m``, so one plan serves every batch size;
         #: a serving workload whose batch grows and shrinks as requests
@@ -128,36 +131,18 @@ class GemmPlan:
         return self._w16
 
     @property
-    def selector(self) -> scipy.sparse.csr_matrix:
-        """Channel selector of the shared contraction, ``[gk * n, k * channels]``.
+    def codes(self) -> np.ndarray:
+        """Channel codes of the shared contraction, ``[n, k]`` uint8.
 
-        Row ``gi * n + j`` holds a 1.0 at column ``k * channels +
-        unsigned[k, j]`` for each of the ``group_k`` rows ``k`` of k-group
-        ``gi``, stored in ascending k.  Against the ``[k * channels, m]``
-        products of one call it selects and group-sums exactly one
-        FP16-rounded product per ``(k, n)``.
-
-        One nonzero per weight (12 B: value and column index);
-        built lazily on the first ``batched`` or ``bitexact``
-        execution and cached on the plan.
+        ``codes[j, k] == unsigned[k, j]``: weight ``[k, j]``'s channel,
+        the lane of its activation's products that the contraction adds.
+        One byte per weight, stored so each output column reads its
+        codes in ascending k; built lazily on the first ``batched`` or
+        ``bitexact`` execution and cached on the plan.
         """
-        if self._selector is None:
-            nnz = self.k_dim * self.n_dim
-            width = self.k_dim * self.channels
-            index = np.int32 if max(nnz, width) < 2**31 else np.int64
-            cols = (
-                np.arange(self.k_dim, dtype=index)[:, None] * self.channels
-                + self.unsigned
-            )  # [k, n]
-            indices = np.ascontiguousarray(
-                cols.reshape(self.gk, self.group_k, self.n_dim).transpose(0, 2, 1)
-            ).reshape(-1)
-            indptr = np.arange(0, nnz + 1, self.group_k, dtype=index)
-            self._selector = scipy.sparse.csr_matrix(
-                (np.ones(indices.size), indices, indptr),
-                shape=(self.gk * self.n_dim, width),
-            )
-        return self._selector
+        if self._codes is None:
+            self._codes = np.ascontiguousarray(self.unsigned.T)
+        return self._codes
 
     @property
     def packed(self):

@@ -30,3 +30,10 @@ class RequestError(ReproError, ValueError):
     Also a :class:`ValueError`, so callers holding only the request —
     not the library's error types — can catch rejection idiomatically.
     """
+
+
+class KernelBuildError(ReproError):
+    """The engine's C kernel could not be compiled or loaded.
+
+    Names the compiler command and carries its stderr.
+    """

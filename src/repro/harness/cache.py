@@ -38,10 +38,11 @@ def default_cache_dir() -> pathlib.Path:
 def code_version(refresh: bool = False) -> str:
     """Digest of every ``repro`` source file (cache-key ingredient).
 
-    Hashes the relative path and contents of each ``*.py`` under the
-    installed ``repro`` package, sorted, so any code change — not just
-    to the experiment touched — invalidates prior results.  Computed
-    once per process; ``refresh=True`` recomputes (tests).
+    Hashes the relative path and contents of each ``*.py`` and ``*.c``
+    (the engine's compiled kernel) under the installed ``repro``
+    package, sorted, so any code change — not just to the experiment
+    touched — invalidates prior results.  Computed once per process;
+    ``refresh=True`` recomputes (tests).
     """
     global _CODE_VERSION
     if _CODE_VERSION is not None and not refresh:
@@ -50,7 +51,7 @@ def code_version(refresh: bool = False) -> str:
 
     root = pathlib.Path(repro.__file__).resolve().parent
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
+    for path in sorted(root.rglob("*.py")) + sorted(root.rglob("*.c")):
         digest.update(str(path.relative_to(root)).encode())
         digest.update(b"\0")
         digest.update(path.read_bytes())

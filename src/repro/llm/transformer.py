@@ -209,7 +209,10 @@ class BatchedKVCache:
 
     * :meth:`allocate` / :meth:`release` — slot lifecycle (release is
       the eviction primitive: the slot's tokens are dropped and the
-      slot is immediately reusable);
+      slot is immediately reusable).  The buffers exist only while a
+      slot is allocated: the first allocation creates them at the
+      initial capacity and releasing the last slot drops them, so an
+      idle pool holds no KV memory (:attr:`nbytes`);
     * :meth:`ensure` — grow the shared ``capacity`` axis (doubling,
       capped at ``config.max_seq``) when a sequence is about to
       outrun it;
@@ -240,18 +243,21 @@ class BatchedKVCache:
                 f"cache capacity must lie in [1, max_seq={config.max_seq}], "
                 f"got {self.capacity}"
             )
-        shape = (
-            max_slots,
-            config.n_layers,
-            config.n_heads,
-            self.capacity,
-            config.d_head,
-        )
-        self.keys = np.zeros(shape)
-        self.values = np.zeros(shape)
+        self._initial_capacity = self.capacity
+        #: ``[slots, layers, heads, capacity, d_head]`` buffers while any
+        #: slot is allocated, else None.
+        self.keys: np.ndarray | None = None
+        self.values: np.ndarray | None = None
         self.lengths = np.zeros(max_slots, dtype=np.int64)
         # Free slots, popped lowest-first so occupancy packs densely.
         self._free = list(range(max_slots - 1, -1, -1))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the key/value buffers hold (0 while every slot is free)."""
+        if self.keys is None:
+            return 0
+        return int(self.keys.nbytes + self.values.nbytes)
 
     @property
     def free_slots(self) -> int:
@@ -271,18 +277,34 @@ class BatchedKVCache:
                 f"no free slot: all {self.max_slots} in use "
                 "(retire a sequence first)"
             )
+        if self.keys is None:
+            self.capacity = self._initial_capacity
+            shape = (
+                self.max_slots,
+                self.config.n_layers,
+                self.config.n_heads,
+                self.capacity,
+                self.config.d_head,
+            )
+            self.keys = np.zeros(shape)
+            self.values = np.zeros(shape)
         slot = self._free.pop()
         self.lengths[slot] = 0
         return slot
 
     def release(self, slot: int) -> None:
-        """Evict a sequence: drop its tokens and free its slot."""
+        """Evict a sequence: drop its tokens and free its slot.
+
+        Freeing the last allocated slot also drops the buffers.
+        """
         self._check_slot(slot)
         if slot in self._free:
             raise ConfigError(f"slot {slot} is already free")
         self.lengths[slot] = 0
         self._free.append(slot)
         self._free.sort(reverse=True)
+        if len(self._free) == self.max_slots:
+            self.keys = self.values = None
 
     def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < self.max_slots:

@@ -12,10 +12,11 @@ from repro.engine import (
     backends,
     clear_plan_cache,
     get_backend,
+    native,
     plan_cache_size,
     plan_gemm,
 )
-from repro.errors import QuantizationError
+from repro.errors import KernelBuildError, QuantizationError
 from repro.fp import vec
 from repro.multiplier.parallel import parallel_fp_int_mul, rebias_offset
 from repro.quant.groups import GroupSpec
@@ -105,23 +106,16 @@ class TestPlanState:
         assert packed.spec.dim is PackDim.N
         assert packed.words.shape == (qm.k_dim, qm.n_dim // 4)
 
-    def test_selector_selects_each_weight_once_in_k_order(self):
+    def test_codes_select_each_weight_once_in_k_order(self):
         _, qm = _setup()
         plan = plan_gemm(qm)
-        sel = plan.selector
-        assert sel.shape == (plan.gk * qm.n_dim, qm.k_dim * plan.channels)
-        assert sel.nnz == qm.k_dim * qm.n_dim
-        assert np.all(sel.data == 1.0)
-        assert np.all(np.diff(sel.indptr) == plan.group_k)
-        rows = np.split(sel.indices, sel.indptr[1:-1])
-        # Ascending columns within a row pin the ascending-k accumulation.
-        assert all(np.all(np.diff(cols) > 0) for cols in rows)
-        # Row gi * n + j selects weight [k, j]'s channel for each k of group gi.
-        for gi in range(plan.gk):
-            ks = np.arange(gi * plan.group_k, (gi + 1) * plan.group_k)
-            for j in range(qm.n_dim):
-                expected = ks * plan.channels + plan.unsigned[ks, j]
-                assert np.array_equal(rows[gi * qm.n_dim + j], expected)
+        codes = plan.codes
+        assert codes.shape == (qm.n_dim, qm.k_dim)
+        assert codes.dtype == np.uint8 and codes.flags.c_contiguous
+        # Row j holds column j's channels in ascending k: one per weight.
+        channels = qm.signed_codes() + rebias_offset(qm.bits)
+        assert np.array_equal(codes, channels.T)
+        assert codes.max() < plan.channels
 
 
 class TestProductTable:
@@ -325,10 +319,10 @@ class TestSaturationAcrossBackends:
         mask = ~np.isnan(scalar)
         assert np.array_equal(scalar[mask], ours[mask])
 
-    def test_saturating_call_stays_on_selector(self):
-        # One activation at 64.0 saturates its products to inf.  CSR
-        # stores no zeros, so inf never meets inf * 0: the selector gives
-        # the scalar oracle's inf outputs, and no NaN.
+    def test_saturating_call_gives_inf_without_nan(self):
+        # One activation at 64.0 saturates its products to inf.  The
+        # kernel adds only the selected products, so inf never meets
+        # inf * 0: it gives the scalar oracle's inf outputs, and no NaN.
         rng = np.random.default_rng(2)
         qm = quantize_rtn(rng.normal(size=(64, 32)), bits=4, group=GroupSpec(32, 4))
         a = rng.normal(size=(2, 64))
@@ -360,15 +354,140 @@ class TestFastPath:
         for k, n in ((256, 1024), (1024, 256)):
             qm = quantize_rtn(rng.normal(size=(k, n)), bits=4, group=GroupSpec(32, 4))
             plan = GemmPlan(qm)  # uncached: inspect this plan's lazy state
-            assert plan._selector is None
+            assert plan._codes is None
             plan.execute(rng.normal(size=(1, k)), backend="batched")
-            selector = plan._selector
-            assert selector is not None
+            codes = plan._codes
+            assert codes is not None
             for m in (6, 48):
                 plan.execute(rng.normal(size=(m, k)), backend="batched")
             plan.execute(rng.normal(size=(2, k)), backend="bitexact")
             plan.execute(rng.normal(size=(1, k)), backend="batched")
-            assert plan._selector is selector  # built once, not per call
+            assert plan._codes is codes  # built once, not per call
+
+
+def _assert_same_bits(ours, oracle):
+    assert np.array_equal(np.isnan(ours), np.isnan(oracle))
+    keep = ~np.isnan(oracle)
+    assert np.array_equal(ours[keep].view(np.uint64), oracle[keep].view(np.uint64))
+
+
+class TestKernel:
+    """The compiled contraction: row tiles, column blocks, build path."""
+
+    #: Every row-tile boundary of the 8/4/2/1 tiling, and two prefill sizes.
+    ROWS = (*range(1, 18), 40, 64)
+
+    @pytest.mark.parametrize("k,n", [(256, 1024), (1024, 256), (256, 256)])
+    def test_row_tiles_match_scalar_oracle(self, k, n):
+        """Every m through the tiling equals the oracle, NaN positions too.
+
+        The oracle's outputs are independent per row and per column, so
+        it runs once, on the largest batch and on the last column block
+        (a separately quantized slice: ``g[32,4]`` groups are
+        column-local); each ``m`` compares its rows against that.
+        """
+        rng = np.random.default_rng(k + n)
+        w = rng.normal(size=(k, n))
+        a = rng.normal(size=(max(self.ROWS), k)) * 20.0  # some saturate
+        plan = GemmPlan(quantize_rtn(w, bits=4, group=GroupSpec(32, 4)))
+        tail = GemmPlan(quantize_rtn(w[:, -4:], bits=4, group=GroupSpec(32, 4)))
+        assert np.array_equal(tail.codes, plan.codes[-4:])
+        with np.errstate(all="ignore"):
+            oracle = tail.execute(a, backend="bitexact-scalar")
+            assert np.isnan(oracle).any() and np.isfinite(oracle).any()
+            for m in self.ROWS:
+                batched = plan.execute(a[:m], backend="batched")
+                _assert_same_bits(batched[:, -4:], oracle[:m])
+                _assert_same_bits(plan.execute(a[:m], backend="bitexact"), batched)
+
+    def test_partial_column_block_matches_scalar_oracle(self):
+        # n = 6 leaves a 2-column remainder after one 4-column block; the
+        # oracle needs whole packed words, so it runs on the n = 8 matrix
+        # whose first six columns are the same (g[8,2] is column-local).
+        rng = np.random.default_rng(5)
+        w = rng.normal(size=(32, 8))
+        a = rng.normal(size=(11, 32))
+        six = GemmPlan(quantize_rtn(w[:, :6], bits=4, group=GroupSpec(8, 2)))
+        eight = GemmPlan(quantize_rtn(w, bits=4, group=GroupSpec(8, 2)))
+        oracle = eight.execute(a, backend="bitexact-scalar")[:, :6]
+        for m in range(1, 12):
+            _assert_same_bits(six.execute(a[:m], backend="batched"), oracle[:m])
+
+    def test_epilogue_order_matches_scalar_oracle(self):
+        """Eq. (1) and adjust are applied in the oracle's order.
+
+        Below ``group_k`` ~ 2**13 every epilogue operation but the
+        scale is exact, so only a long group can tell orders apart:
+        12,289 activations at 63.0 and an odd count at 2**-24 give a
+        ``sum(A)`` with a 2**-24 bit, which ``acc + adjust * sA`` (acc
+        near 2**30) must round and ``acc - offset * sA`` need not.
+        """
+        rng = np.random.default_rng(0)
+        k = 16384
+        qm = quantize_rtn(rng.normal(size=(k, 4)), bits=4, group=GroupSpec(k, 4))
+        a = np.full((1, k), 2.0**-24)
+        a[0, rng.permutation(k)[:12289]] = 63.0
+        plan = plan_gemm(qm)
+        # The data must tell the two orders apart, or the test is vacuous.
+        patterns = a.astype(np.float16)[0].view(np.uint16)
+        acc = np.cumsum(backends.product_table(4)[patterns, plan.unsigned[:, 0]])[-1]
+        s_a = np.cumsum(a.astype(np.float16)[0].astype(np.float64))[-1]
+        adjust, scale = plan.adjust_rows[0, 0], plan.scale_rows[0, 0]
+        oracle_order = ((acc - plan.offset * s_a) + adjust * s_a) * scale
+        assert oracle_order != ((acc + adjust * s_a) - plan.offset * s_a) * scale
+        scalar = plan.execute(a, backend="bitexact-scalar").view(np.uint64)
+        for name in ("batched", "bitexact"):
+            ours = plan.execute(a, backend=name).view(np.uint64)
+            assert np.array_equal(ours, scalar), name
+
+    @pytest.fixture
+    def fresh_kernel(self, tmp_path, monkeypatch):
+        """An empty kernel cache directory and no kernel loaded."""
+        monkeypatch.setenv("PACQ_CACHE_DIR", str(tmp_path))
+        native.contract_kernel.cache_clear()
+        yield tmp_path
+        monkeypatch.undo()
+        native.contract_kernel.cache_clear()
+
+    def test_missing_compiler_raises_typed_error(self, fresh_kernel, monkeypatch):
+        monkeypatch.setattr(native, "COMPILER", "/nonexistent/cc")
+        with pytest.raises(KernelBuildError, match="/nonexistent/cc"):
+            native.contract_kernel()
+        _, qm = _setup()
+        with pytest.raises(KernelBuildError):
+            GemmPlan(qm).execute(np.ones((1, 32)), backend="batched")
+
+    def test_compile_failure_names_command_and_stderr(
+        self, fresh_kernel, monkeypatch
+    ):
+        broken = fresh_kernel / "broken.c"
+        broken.write_text("int pacq_contract(void) { return }\n")
+        monkeypatch.setattr(native, "SOURCE", broken)
+        with pytest.raises(KernelBuildError) as info:
+            native.contract_kernel()
+        assert "-ffp-contract=off" in str(info.value)
+        assert "error" in str(info.value)
+        assert not list(fresh_kernel.glob("*.so"))  # nothing half-published
+
+    def test_cold_build_once_then_load_without_compiling(
+        self, fresh_kernel, monkeypatch
+    ):
+        commands = []
+        run = native._run
+
+        def recording_run(cmd):
+            commands.append(cmd)
+            return run(cmd)
+
+        monkeypatch.setattr(native, "_run", recording_run)
+        native.contract_kernel()
+        assert sum("-o" in cmd for cmd in commands) == 1
+        assert len(list(fresh_kernel.glob("contract-*.so"))) == 1
+        commands.clear()
+        native.contract_kernel.cache_clear()  # as a second process would
+        native.contract_kernel()
+        assert not any("-o" in cmd for cmd in commands)
+        assert len(list(fresh_kernel.iterdir())) == 1  # no temporaries left
 
 
 class TestDecoderIntegration:

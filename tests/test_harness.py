@@ -9,9 +9,12 @@ old-CLI-alias backward compatibility.
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.core.experiments import (
     ExperimentResult,
@@ -26,6 +29,7 @@ from repro.harness import (
     Job,
     ResultCache,
     SweepSpec,
+    code_version,
     default_sweep,
     run_jobs,
 )
@@ -125,6 +129,20 @@ class TestResultCache:
         assert cache.get(self.job()) is not None
         monkeypatch.setattr("repro.harness.cache._CODE_VERSION", "0" * 64)
         assert cache.get(self.job()) is None
+
+    def test_code_version_covers_the_c_kernel(self, tmp_path, monkeypatch):
+        root = Path(repro.__file__).resolve().parent
+        copy = tmp_path / "repro"
+        shutil.copytree(root, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr(repro, "__file__", str(copy / "__init__.py"))
+        before = code_version(refresh=True)
+        kernel = copy / "engine" / "contract.c"
+        kernel.write_text(kernel.read_text() + "/* edited */\n")
+        try:
+            assert code_version(refresh=True) != before
+        finally:
+            monkeypatch.undo()
+            code_version(refresh=True)
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)

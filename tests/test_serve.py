@@ -93,6 +93,25 @@ class TestBatchedKVCache:
             cache.store(slot, 0, 0, k, k)
 
 
+    def test_buffers_live_only_while_a_slot_is_held(self, setup):
+        config, _, _ = setup
+        cache = BatchedKVCache(config, max_slots=2, capacity=4)
+        assert cache.nbytes == 0 and cache.keys is None
+        a = cache.allocate()
+        per_buffer = 2 * config.n_layers * config.n_heads * 4 * config.d_head * 8
+        assert cache.nbytes == 2 * per_buffer
+        b = cache.allocate()
+        cache.ensure(b, 6)  # grows both buffers to capacity 8
+        assert cache.nbytes == 4 * per_buffer
+        cache.release(a)
+        assert cache.nbytes == 4 * per_buffer  # b still holds its tokens
+        cache.release(b)
+        assert cache.nbytes == 0 and cache.keys is None
+        cache.allocate()
+        assert cache.capacity == 4  # back at the initial capacity
+        assert cache.nbytes == 2 * per_buffer
+
+
 class TestBitIdentity:
     """Batched multi-sequence decode == single-sequence decode, per row."""
 
@@ -232,6 +251,45 @@ class TestBatchedSession:
         assert reused == 0 and session.free_slots == 0
         session.retire(slot)
         assert session.free_slots == 1
+
+
+class TestKVFootprint:
+    def test_idle_session_holds_no_kv_bytes(self, setup):
+        config, _, qmodel = setup
+        session = make_session(qmodel)
+        assert session.cache.nbytes == 0
+        slot, _ = session.admit(np.arange(4) % config.vocab)
+        assert session.cache.nbytes > 0
+        session.retire(slot)
+        assert session.cache.nbytes == 0
+
+    def test_drain_refill_decode_matches_solo_generate(self, setup):
+        """Serving through a pool that was drained (buffers dropped)
+        and refilled gives each request solo ``generate``'s tokens."""
+        config, _, qmodel = setup
+        session = make_session(qmodel, max_slots=2, capacity=4)
+        scheduler = Scheduler(session, max_batch=2)
+        rng = np.random.default_rng(8)
+        for wave in range(2):
+            requests = [
+                Request(
+                    prompt=rng.integers(0, config.vocab, size=3 + i + wave),
+                    max_new=4 + i,
+                    top_k=None if i % 2 else 4,
+                    seed=i,
+                )
+                for i in range(3)
+            ]
+            results = scheduler.run(requests)[3 * wave :]  # cumulative
+            assert session.cache.nbytes == 0  # drained between waves
+            for request, result in zip(requests, results, strict=True):
+                solo = InferenceSession(qmodel).generate(
+                    request.prompt,
+                    request.max_new,
+                    top_k=request.top_k,
+                    seed=request.seed,
+                )
+                assert np.array_equal(result.tokens, solo.tokens)
 
 
 class TestScheduler:
