@@ -12,6 +12,8 @@
 #            differs from its committed golden stream in any field but
 #            the wall-clock ones (repro.codesign.capture.WALL_CLOCK_FIELDS)
 #            — what CI runs.  The fresh captures stay behind for diffing.
+#            Nothing committed is written, and both comparisons run even
+#            when the first fails, so one run shows every drift.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
@@ -47,10 +49,11 @@ python -m repro serve-sim "${TRACE[@]}" \
     --draft bigram --spec-k 4 \
     --codesign speculative --json "$CAPDIR/speculative.json"
 
+status=0
 python -m repro codesign \
     "$CAPDIR/fifo.json" "$CAPDIR/prefix-cache.json" "$CAPDIR/speculative.json" \
     --grid num_sms=1,2 \
-    --csv docs/data/codesign.csv --out docs/codesign.md "${CHECK[@]}"
+    --csv docs/data/codesign.csv --out docs/codesign.md "${CHECK[@]}" || status=1
 
 if (( ${#CHECK[@]} )); then
     # Golden-stream gate: every request's tokens, the plan_rows
@@ -72,5 +75,6 @@ for name in sys.argv[3:]:
     print(f"{golden}/{name}: golden stream " + ("DRIFTED" if drift else "matches"))
     drifted = drifted or bool(drift)
 sys.exit(1 if drifted else 0)
-' "$GOLDEN" "$CAPDIR" fifo.json prefix-cache.json speculative.json
+' "$GOLDEN" "$CAPDIR" fifo.json prefix-cache.json speculative.json || status=1
 fi
+exit $status

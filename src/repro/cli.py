@@ -21,10 +21,10 @@ Subcommands (the ``pacq-repro`` interface):
   :class:`~repro.model.InferenceSession` and run KV-cached generation
   (greedy or top-k), optionally printing per-layer GEMM telemetry.
 * ``serve-sim`` — replay a deterministic synthetic request trace
-  through the continuous-batching scheduler (:mod:`repro.serve`) and
-  print per-request + aggregate serving telemetry; ``--codesign
-  POLICY`` stamps a replayable workload capture into the ``--json``
-  record.
+  through one :class:`~repro.serve.Replica` (or ``--workers N`` of
+  them behind a :class:`~repro.serve.Router`) and print per-request +
+  aggregate serving telemetry; ``--codesign POLICY`` stamps a
+  replayable workload capture into the ``--json`` record.
 * ``codesign`` — replay captured serving workloads through the
   SIMT/energy/roofline models (:mod:`repro.codesign`) across an
   architecture grid, writing the merged CSV and regenerating the
@@ -59,6 +59,7 @@ from repro.core.report import (
     render_csv,
     render_experiments_md,
     render_table,
+    sync_artifact,
 )
 from repro.engine import DEFAULT_BACKEND, backend_names
 from repro.errors import ConfigError, QuantizationError
@@ -283,11 +284,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     outcomes = run_jobs(jobs, workers=args.jobs, cache=cache, force=args.force)
     records = _outcomes_to_records(outcomes)
 
-    content = render_experiments_md(records)
-    out_path = pathlib.Path(args.out)
-    stale = out_path.exists() and out_path.read_text() != content
-    out_path.write_text(content)
-    print(f"wrote {out_path}")
+    current = sync_artifact(args.out, render_experiments_md(records), args.check)
 
     if args.artifacts:
         written = _write_artifacts(records, pathlib.Path(args.artifacts))
@@ -296,15 +293,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     violations = check_records(records)
     for message in violations:
         print(f"DEVIATION: {message}", file=sys.stderr)
-    if args.check:
-        if stale:
-            print(
-                f"STALE: committed {out_path} did not match the regenerated "
-                "report (now rewritten) — commit the update",
-                file=sys.stderr,
-            )
-        if violations or stale:
-            return 1
+    if args.check and (violations or not current):
+        return 1
     print("check: all deviations within per-row tolerances"
           if not violations else
           f"note: {len(violations)} deviation(s) beyond tolerance (no --check)")
@@ -401,120 +391,7 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
     return values[0], values[1]
 
 
-def _serve_fleet(args: argparse.Namespace, qmodel, trace):
-    """``serve-sim --workers N``: route the trace to a data-parallel fleet.
-
-    The in-memory quantized model is written to a temporary checkpoint
-    directory and every worker loads it independently — the same
-    many-reader path a real deployment uses.  Arrival pacing is a
-    single-scheduler concept; the router dispatches the whole trace up
-    front (least-outstanding-tokens) and workers drain their queues.
-    """
-    import tempfile
-
-    from repro.model.checkpoint import save_model
-    from repro.serve import Router
-
-    if args.draft != "none":
-        raise ConfigError(
-            "--draft is not supported with --workers > 1: drafts live "
-            "inside the worker processes (use --workers 1)"
-        )
-    with tempfile.TemporaryDirectory(prefix="pacq-serve-shard-") as tmp:
-        save_model(tmp, qmodel)
-        with Router(
-            tmp,
-            args.workers,
-            backend=args.backend,
-            max_slots=args.max_batch,
-            capacity=args.capacity,
-            prefill_chunk=args.prefill_chunk,
-            prefix_cache_bytes=args.prefix_cache_mb << 20,
-        ) as router:
-            return router.serve(list(trace))
-
-
-def _serve_in_process(args: argparse.Namespace, qmodel, weights, trace):
-    """``serve-sim --workers 1``: arrival-paced replay in this process.
-
-    Returns ``(fleet, rejected)``: the run as a one-worker
-    :class:`~repro.serve.FleetReport`, so both topologies print and
-    serialize alike, plus the ``(trace index, message)`` rejections.
-    """
-    from repro.engine import diff_plan_histograms, plan_dims, plan_histograms
-    from repro.model import parse_policy, quantize_model
-    from repro.serve import (
-        BatchedSession,
-        FleetReport,
-        RadixPrefixCache,
-        Scheduler,
-        WorkerReport,
-        replay,
-    )
-
-    prefix_cache = (
-        RadixPrefixCache(args.prefix_cache_mb << 20)
-        if args.prefix_cache_mb > 0
-        else None
-    )
-    session = BatchedSession(
-        qmodel,
-        backend=args.backend,
-        max_slots=args.max_batch,
-        capacity=args.capacity,
-        prefix_cache=prefix_cache,
-    )
-    speculate = None
-    if args.draft != "none":
-        from repro.serve import BigramDraft, SessionDraft
-
-        if args.spec_k < 1:
-            raise ConfigError(
-                f"--draft {args.draft} needs --spec-k >= 1, got {args.spec_k}"
-            )
-        if args.draft == "bigram":
-            draft = BigramDraft.distill(session.decoder)
-        elif args.draft.startswith("policy:"):
-            draft_model = quantize_model(
-                weights,
-                parse_policy(args.draft[len("policy:"):]),
-                config=qmodel.config,
-                compute_reports=False,
-            )
-            draft = SessionDraft(
-                draft_model, backend=args.backend, max_slots=args.max_batch
-            )
-        else:
-            raise ConfigError(
-                f"--draft must be none, bigram or policy:<spec>, "
-                f"got {args.draft!r}"
-            )
-        speculate = (draft, args.spec_k)
-    scheduler = Scheduler(
-        session,
-        max_batch=args.max_batch,
-        prefill_chunk=args.prefill_chunk,
-        speculate=speculate,
-    )
-    plans = session.decoder.plans
-    # Snapshot after set-up: draft distillation is not served traffic.
-    before = plan_histograms(plans)
-    report = replay(scheduler, trace, strict=False)
-    stats = scheduler.stats()
-    worker = WorkerReport(
-        rank=0,
-        assigned=tuple(range(len(trace))),
-        results=tuple(report.results),
-        stats=stats,
-        plan_rows=diff_plan_histograms(plan_histograms(plans), before),
-        plan_dims=plan_dims(plans),
-        prefix_cache=prefix_cache.stats() if prefix_cache is not None else None,
-        elapsed_s=stats.elapsed_s,
-    )
-    return FleetReport((worker,), worker.results, stats.elapsed_s), report.rejected
-
-
-def _print_serve_sim(args: argparse.Namespace, fleet, rejected) -> None:
+def _print_serve_sim(args: argparse.Namespace, fleet) -> None:
     """The serve-sim text report, for one worker or N."""
     stats = fleet.stats
     wait = fleet.queue_wait()
@@ -529,7 +406,7 @@ def _print_serve_sim(args: argparse.Namespace, fleet, rejected) -> None:
             for r in fleet.results
         ],
     ))
-    for index, message in rejected:
+    for index, message in fleet.rejected:
         print(f"rejected request {index}: {message}", file=sys.stderr)
     print(
         f"\naggregate: {stats.total_new_tokens} tokens over {stats.steps} steps "
@@ -595,7 +472,7 @@ def _print_serve_sim(args: argparse.Namespace, fleet, rejected) -> None:
     )
 
 
-def _serve_sim_record(args: argparse.Namespace, spec, fleet, rejected) -> dict:
+def _serve_sim_record(args: argparse.Namespace, spec, fleet) -> dict:
     """The serve-sim ``--json`` record: the same keys for any worker count.
 
     Blocks a run does not have (prefix cache, speculation, codesign
@@ -646,7 +523,8 @@ def _serve_sim_record(args: argparse.Namespace, spec, fleet, rejected) -> dict:
             for r in fleet.results
         ],
         "rejected": [
-            {"index": index, "message": message} for index, message in rejected
+            {"index": index, "message": message}
+            for index, message in fleet.rejected
         ],
         "stats": {
             **dataclasses.asdict(stats),
@@ -684,9 +562,19 @@ def _serve_sim_record(args: argparse.Namespace, spec, fleet, rejected) -> dict:
 
 
 def _cmd_serve_sim(args: argparse.Namespace) -> int:
+    """One :class:`~repro.serve.Replica` in process, or a fleet of them."""
+    import tempfile
+
     from repro.llm.transformer import TransformerConfig, init_weights
-    from repro.model import parse_policy, quantize_model
-    from repro.serve import TraceSpec, synthesize
+    from repro.model import parse_policy, quantize_model, save_model
+    from repro.serve import (
+        FleetReport,
+        Replica,
+        Router,
+        ServeConfig,
+        TraceSpec,
+        synthesize,
+    )
 
     config = TransformerConfig(
         vocab=args.vocab,
@@ -720,13 +608,35 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         )
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    if args.workers > 1:
-        fleet, rejected = _serve_fleet(args, qmodel, trace), []
+    draft = None if args.draft == "none" else args.draft
+    if args.draft.startswith("policy:"):
+        draft = quantize_model(weights, parse_policy(args.draft[len("policy:"):]),
+                               config=config, compute_reports=False)
+    elif draft not in (None, "bigram"):
+        raise ConfigError(f"--draft must be none, bigram or policy:<spec>, "
+                          f"got {args.draft!r}")
+    serve = ServeConfig(
+        backend=args.backend,
+        max_batch=args.max_batch,
+        capacity=args.capacity,
+        prefill_chunk=args.prefill_chunk,
+        prefix_cache_bytes=args.prefix_cache_mb << 20,
+        draft=draft,
+        spec_k=args.spec_k,
+    )
+    if args.workers == 1:
+        worker = Replica(qmodel, serve).serve(trace)
+        fleet = FleetReport((worker,), worker.results, worker.elapsed_s)
     else:
-        fleet, rejected = _serve_in_process(args, qmodel, weights, trace)
-    _print_serve_sim(args, fleet, rejected)
+        # Every worker loads the model from one checkpoint directory,
+        # the many-reader path a real deployment uses.
+        with tempfile.TemporaryDirectory(prefix="pacq-serve-shard-") as tmp:
+            save_model(tmp, qmodel)
+            with Router(tmp, args.workers, serve) as router:
+                fleet = router.serve(trace)
+    _print_serve_sim(args, fleet)
     if args.json:
-        record = _serve_sim_record(args, spec, fleet, rejected)
+        record = _serve_sim_record(args, spec, fleet)
         pathlib.Path(args.json).write_text(
             json.dumps(record, indent=1, sort_keys=True) + "\n"
         )
@@ -789,34 +699,19 @@ def _cmd_codesign(args: argparse.Namespace) -> int:
     ))
     print()
 
-    csv_text = render_codesign_csv(records)
-    csv_path = pathlib.Path(args.csv)
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    stale_csv = csv_path.exists() and csv_path.read_text() != csv_text
-    csv_path.write_text(csv_text)
-    print(f"wrote {csv_path} ({len(csv_text.splitlines()) - 1} data rows)")
-
     out_path = pathlib.Path(args.out)
     if not out_path.exists():
         raise ConfigError(
             f"{out_path} does not exist — the generated section splices "
             "into the committed scaffold between the codesign markers"
         )
-    doc = out_path.read_text()
-    spliced = splice_section(doc, render_codesign_section(records))
-    stale_doc = doc != spliced
-    out_path.write_text(spliced)
-    print(f"wrote {out_path}")
-
+    spliced = splice_section(out_path.read_text(), render_codesign_section(records))
+    current = [
+        sync_artifact(args.csv, render_codesign_csv(records), args.check),
+        sync_artifact(out_path, spliced, args.check),
+    ]
     if args.check:
-        for path, stale in ((csv_path, stale_csv), (out_path, stale_doc)):
-            if stale:
-                print(
-                    f"STALE: committed {path} did not match the regenerated "
-                    "artifact (now rewritten) — commit the update",
-                    file=sys.stderr,
-                )
-        if stale_csv or stale_doc:
+        if not all(current):
             return 1
         print("check: committed codesign artifacts are current")
     return 0
@@ -1091,8 +986,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="worker processes (default: 1 = in-process "
                          "serving); N > 1 routes whole requests to N "
                          "data-parallel full-model workers reading one "
-                         "shared checkpoint (arrival pacing is ignored; "
-                         "workers drain their queues flat out)")
+                         "shared checkpoint, each replaying its share "
+                         "arrival-paced under the same draft and cache")
     serve_p.add_argument("--vocab", type=int, default=256)
     serve_p.add_argument("--d-model", type=int, default=128)
     serve_p.add_argument("--n-heads", type=int, default=4)

@@ -34,7 +34,7 @@ from repro.core.experiments import (
     ResultRow,
     register_experiment,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, RequestError
 
 #: Scheduling policies the synthetic self-check knows how to build.
 SYNTHETIC_POLICIES = ("fifo", "prefix-cache", "speculative")
@@ -50,18 +50,9 @@ def _synthetic_capture(policy: str, requests: int, max_new: int) -> WorkloadCapt
     plan histograms are snapshotted after set-up (draft distillation
     included) and the replay's executions are the difference.
     """
-    from repro.engine import diff_plan_histograms, plan_dims, plan_histograms
     from repro.llm.transformer import TransformerConfig, init_weights
     from repro.model import parse_policy, quantize_model
-    from repro.serve import (
-        BatchedSession,
-        BigramDraft,
-        RadixPrefixCache,
-        Scheduler,
-        TraceSpec,
-        replay,
-        synthesize,
-    )
+    from repro.serve import Replica, ServeConfig, TraceSpec, synthesize
 
     if policy not in SYNTHETIC_POLICIES:
         raise ConfigError(
@@ -82,25 +73,21 @@ def _synthetic_capture(policy: str, requests: int, max_new: int) -> WorkloadCapt
         shared_prefix_len=8, shared_fraction=0.75,
     )
     trace = synthesize(spec, config.vocab, config.max_seq)
-
-    prefix_cache = RadixPrefixCache(16 << 20) if policy == "prefix-cache" else None
-    session = BatchedSession(qmodel, max_slots=requests, prefix_cache=prefix_cache)
-    speculate = None
-    if policy == "speculative":
-        speculate = (BigramDraft.distill(session.decoder), 4)
-    scheduler = Scheduler(
-        session,
+    cached = policy == "prefix-cache"
+    serve = ServeConfig(
         max_batch=requests,
-        prefill_chunk=16 if policy == "prefix-cache" else None,
-        speculate=speculate,
+        prefill_chunk=16 if cached else None,
+        prefix_cache_bytes=16 << 20 if cached else 0,
+        draft="bigram" if policy == "speculative" else None,
     )
-    plans = session.decoder.plans
-    before = plan_histograms(plans)
-    replay(scheduler, trace, strict=True)
-    stats = scheduler.stats()
+    report = Replica(qmodel, serve).serve(trace)
+    if report.rejected:
+        index, message = report.rejected[0]
+        raise RequestError(f"synthetic request {index}: {message}")
+    stats = report.stats
     return capture_from_histograms(
-        diff_plan_histograms(plan_histograms(plans), before),
-        plan_dims(plans),
+        report.plan_rows,
+        report.plan_dims,
         policy=policy,
         served_tokens=stats.total_new_tokens,
         prompt_tokens=stats.prefill_tokens + stats.cached_prefix_tokens,

@@ -189,23 +189,16 @@ def spec_decode_experiment(
     (1.0 = every request's stream matches the non-speculative replay,
     which the verify scheme guarantees by construction).
     """
+    from repro.errors import RequestError
     from repro.llm.transformer import TransformerConfig, init_weights
     from repro.model import parse_policy, quantize_model
+    from repro.serve import Replica, ServeConfig, TraceSpec, synthesize
 
     # sweep grids pass bare values through; normalize the axes
     if isinstance(drafts, str):
         drafts = (drafts,)
     if isinstance(ks, int):
         ks = (ks,)
-    from repro.serve import (
-        BatchedSession,
-        BigramDraft,
-        Scheduler,
-        SessionDraft,
-        TraceSpec,
-        replay,
-        synthesize,
-    )
 
     config = TransformerConfig(
         vocab=vocab, d_model=d_model, n_heads=4, n_layers=2,
@@ -222,29 +215,28 @@ def spec_decode_experiment(
     )
     trace = synthesize(spec, config.vocab, config.max_seq)
 
-    def run(speculate):
-        session = BatchedSession(qmodel, max_slots=requests)
-        scheduler = Scheduler(session, max_batch=requests, speculate=speculate)
-        report = replay(scheduler, trace, strict=True)
-        streams = [tuple(r.new_tokens) for r in report.results]
-        return streams, scheduler.stats()
+    def run(draft=None, k=0):
+        serve = ServeConfig(max_batch=requests, draft=draft, spec_k=k)
+        report = Replica(qmodel, serve).serve(trace)
+        if report.rejected:
+            index, message = report.rejected[0]
+            raise RequestError(f"trace request {index}: {message}")
+        return [tuple(r.new_tokens) for r in report.results], report.stats
 
     def make_draft(name):
         if name == "bigram":
-            session = BatchedSession(qmodel, max_slots=1)
-            return BigramDraft.distill(session.decoder)
-        draft_model = quantize_model(
+            return name
+        return quantize_model(
             weights, parse_policy(f"*={name}@g[32,4]"), config=config,
             compute_reports=False,
         )
-        return SessionDraft(draft_model, max_slots=requests)
 
-    base_streams, base_stats = run(None)
+    base_streams, base_stats = run()
     rows = []
     for name in drafts:
         draft = make_draft(name)
         for k in ks:
-            streams, stats = run((draft, k))
+            streams, stats = run(draft, k)
             identical = float(streams == base_streams)
             rows.append(
                 ResultRow(

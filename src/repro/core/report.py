@@ -10,7 +10,8 @@ Two layers live here:
   measured ``EXPERIMENTS.md`` (:func:`render_experiments_md`) with
   deviation columns.  :func:`check_records` implements the
   ``report --check`` tolerance gate against the per-row tolerances
-  registered in :mod:`repro.core.experiments`.
+  registered in :mod:`repro.core.experiments`; :func:`sync_artifact`
+  is the one write-or-check gate for every committed artifact.
 
 Everything the markdown/CSV sinks emit is deterministic for a given
 set of results (fixed float formatting, sorted ordering, no
@@ -20,7 +21,11 @@ staleness is a simple string comparison.
 
 from __future__ import annotations
 
+import difflib
 import io
+import itertools
+import pathlib
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -301,6 +306,37 @@ def render_experiments_md(records: Sequence[RunRecord]) -> str:
             out.write(f"| {row.label} | {_sig(row.measured)} | {row.unit} |\n")
 
     return out.getvalue()
+
+
+def sync_artifact(path, text: str, check: bool) -> bool:
+    """Write ``text`` to the committed artifact ``path``, or check it.
+
+    With ``check`` nothing is written: returns whether ``path`` already
+    holds ``text``, printing a ``STALE`` line and the start of a unified
+    diff to stderr when it does not.  Without, writes and returns True.
+    """
+    path = pathlib.Path(path)
+    if not check:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        print(f"wrote {path}")
+        return True
+    committed = path.read_text() if path.exists() else ""
+    if committed == text:
+        return True
+    print(
+        f"STALE: committed {path} does not match the regenerated artifact "
+        "(left unchanged) — rerun without --check and commit the update",
+        file=sys.stderr,
+    )
+    diff = difflib.unified_diff(
+        committed.splitlines(keepends=True),
+        text.splitlines(keepends=True),
+        f"{path} (committed)",
+        f"{path} (regenerated)",
+    )
+    sys.stderr.writelines(itertools.islice(diff, 40))
+    return False
 
 
 def render_bars(

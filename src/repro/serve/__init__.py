@@ -26,21 +26,23 @@ decoder so the per-token GEMMs amortize across the whole batch.
   scheduler integrates it via ``speculate=(draft, k)``;
 * :func:`synthesize` / :func:`replay` (:mod:`repro.serve.trace`) —
   deterministic synthetic request traces (including shared-prefix
-  traffic) and arrival-paced replay (the CLI's ``serve-sim``);
+  traffic) and arrival-paced replay;
+* :class:`Replica` (:mod:`repro.serve.replica`) — the one served run
+  that ``serve-sim``, every :class:`Router` worker, the co-design
+  captures and ``spec_decode`` drive: session, prefix cache and draft
+  built once from a frozen :class:`ServeConfig`, then ``serve(trace)``
+  into a :class:`WorkerReport` of that run alone;
 * :class:`Router` (:mod:`repro.serve.shard`) — multi-process
-  data-parallel serving: a router over N full-model workers reading one
-  shared checkpoint, streams bit-identical to one scheduler.
+  data-parallel serving: N replicas of one shared checkpoint, streams
+  bit-identical to one replica.
 
 Typical use::
 
-    from repro.serve import BatchedSession, Request, Scheduler
+    from repro.serve import Replica, ServeConfig, TraceSpec, synthesize
 
-    session = BatchedSession(qmodel, max_slots=8)
-    scheduler = Scheduler(session, max_batch=8)
-    scheduler.submit(Request(prompt, max_new=32, top_k=8, seed=0))
-    while scheduler.step():
-        pass
-    for result in scheduler.results():
+    replica = Replica(qmodel, ServeConfig(max_batch=8, draft="bigram"))
+    report = replica.serve(synthesize(TraceSpec(), vocab, max_seq))
+    for result in report.results:
         print(result.request_id, result.new_tokens, result.tokens_per_s)
 
 See ``docs/serving.md`` for the scheduling model and every telemetry
@@ -49,6 +51,7 @@ field.
 
 from repro.serve.batch import BatchedSession
 from repro.serve.prefix import PrefixCacheStats, RadixPrefixCache
+from repro.serve.replica import Replica, ServeConfig
 from repro.serve.scheduler import (
     Request,
     RequestResult,
@@ -79,12 +82,14 @@ __all__ = [
     "FleetReport",
     "PrefixCacheStats",
     "RadixPrefixCache",
+    "Replica",
     "ReplayReport",
     "Request",
     "RequestResult",
     "Router",
     "Scheduler",
     "SchedulerStats",
+    "ServeConfig",
     "SessionDraft",
     "SpeculativeResult",
     "SpeculativeSession",

@@ -1,27 +1,27 @@
 """Data parallelism: a router over N full-model worker processes.
 
-Each worker loads its own :class:`~repro.serve.batch.BatchedSession`
-from the *same* ``model.checkpoint`` directory (the checkpoint acts as
-a many-reader artifact store — loads are read-only and concurrent by
-construction) and runs a private
-:class:`~repro.serve.scheduler.Scheduler`.  The router assigns
-requests with **least-outstanding-tokens** dispatch: requests are
-walked in arrival order and each goes to the rank with the fewest
-promised tokens (``prompt + max_new``) so far — a load balance that
-needs no feedback channel and is deterministic for a given trace.
+Each worker loads the model from the *same* ``checkpoint`` directory
+(the checkpoint acts as a many-reader artifact store — loads are
+read-only and concurrent by construction) and keeps one
+:class:`~repro.serve.replica.Replica` built from the router's
+:class:`~repro.serve.replica.ServeConfig`, draft included, for its
+whole life.  The router assigns requests with
+**least-outstanding-tokens** dispatch: requests are walked in arrival
+order and each goes to the rank with the fewest promised tokens
+(``prompt + max_new``) so far — a load balance that needs no feedback
+channel and is deterministic for a given trace.
 
 Every worker talks over its own duplex pipe.  A ``serve()`` call ships
-each rank its request subset in one message; workers run their
-schedulers concurrently and ship back ``(results, stats, plan
-histograms, plan dims, prefix-cache counters, elapsed)`` — the
-histograms and cache counters being the run's own (a difference
-against a snapshot taken just before it), so repeated ``serve()``
-calls on one router never double-count.  The router re-labels results
-with their global trace indices and merges everything into one
+each rank its request subset in one message; each worker replays its
+subset arrival-paced on its own step clock (:meth:`Replica.serve`)
+and ships back a :class:`~repro.serve.replica.WorkerReport` holding
+only that call's work, so repeated ``serve()`` calls on one router
+never double-count.  The router relabels results and rejections with
+their global trace indices and merges everything into one
 :class:`FleetReport` — fleet-wide :class:`SchedulerStats`, prefix-cache
-counters, queue-wait percentiles and GEMM histograms, plus the
-per-worker reports.  A one-worker in-process run is the same report
-with a single :class:`WorkerReport`.
+counters, queue-wait percentiles, rejections and GEMM histograms, plus
+the per-worker reports.  A one-worker in-process run is the same
+report with a single :class:`WorkerReport`.
 
 Token streams are unaffected by dispatch: a request's tokens depend
 only on the request itself (prompt, sampling params, seed) and the
@@ -35,56 +35,25 @@ import dataclasses
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.procutil import spawn_worker
-from repro.engine.backends import DEFAULT_BACKEND, get_backend
-from repro.engine.plan import (
-    diff_plan_histograms,
-    merge_plan_histograms,
-    plan_dims,
-    plan_histograms,
-)
+from repro.engine.plan import merge_plan_histograms
 from repro.errors import ConfigError
 from repro.serve.prefix import PrefixCacheStats
-from repro.serve.scheduler import Request, RequestResult, Scheduler, SchedulerStats
+from repro.serve.replica import (
+    Replica,
+    ServeConfig,
+    WorkerReport,
+    queue_wait_percentiles,
+)
+from repro.serve.scheduler import Request, RequestResult, SchedulerStats
 
 
-def queue_wait_percentiles(
-    results,
-    percentiles: tuple[int, ...] = (50, 95),
-) -> dict[str, float]:
-    """``{"p50": ..., "p95": ...}`` over queue-wait steps of ``results``."""
-    waits = [r.queue_wait_steps for r in results]
-    if not waits:
-        return {f"p{p}": 0.0 for p in percentiles}
-    arr = np.asarray(waits, dtype=np.float64)
-    return {f"p{p}": float(np.percentile(arr, p)) for p in percentiles}
-
-
-def _data_worker_main(
-    conn,
-    rank: int,
-    checkpoint: str,
-    backend: str,
-    max_slots: int,
-    capacity,
-    prefill_chunk,
-    prefix_cache_bytes: int,
-) -> None:
+def _data_worker_main(conn, rank: int, checkpoint: str, config: ServeConfig) -> None:
     """Worker loop: load the checkpoint once, serve request batches."""
-    from repro.serve.batch import BatchedSession
-    from repro.serve.prefix import RadixPrefixCache
+    from repro.model.checkpoint import load_model
 
     try:
-        cache = RadixPrefixCache(prefix_cache_bytes) if prefix_cache_bytes else None
-        session = BatchedSession.from_checkpoint(
-            checkpoint,
-            backend=backend,
-            max_slots=max_slots,
-            capacity=capacity,
-            prefix_cache=cache,
-        )
+        replica = Replica(load_model(checkpoint), config)
     except Exception as exc:
         try:
             conn.send(("err", f"{type(exc).__name__}: {exc}"))
@@ -93,77 +62,17 @@ def _data_worker_main(
         return
     conn.send(("ready", rank))
     try:
-        while True:
-            message = conn.recv()
-            if message is None:
-                break
-            op = message[0]
-            if op == "run":
-                requests = message[1]
-                try:
-                    plans = session.decoder.plans
-                    before = plan_histograms(plans)
-                    cache_before = cache.stats() if cache is not None else None
-                    scheduler = Scheduler(
-                        session,
-                        max_batch=max_slots,
-                        prefill_chunk=prefill_chunk,
-                    )
-                    start = time.perf_counter()
-                    results = scheduler.run(list(requests))
-                    elapsed = time.perf_counter() - start
-                    payload = (
-                        results,
-                        scheduler.stats(),
-                        diff_plan_histograms(plan_histograms(plans), before),
-                        plan_dims(plans),
-                        (
-                            cache.stats().since(cache_before)
-                            if cache is not None
-                            else None
-                        ),
-                        elapsed,
-                    )
-                except Exception as exc:
-                    conn.send(("err", f"{type(exc).__name__}: {exc}"))
-                else:
-                    conn.send(("ok", payload))
+        while (requests := conn.recv()) is not None:
+            try:
+                report = replica.serve(requests)
+            except Exception as exc:
+                conn.send(("err", f"{type(exc).__name__}: {exc}"))
             else:
-                conn.send(("err", f"unknown op {op!r}"))
+                conn.send(("ok", report))
     except (EOFError, BrokenPipeError, KeyboardInterrupt):
         pass
     finally:
         conn.close()
-
-
-@dataclass(frozen=True)
-class WorkerReport:
-    """One worker's share of a :meth:`Router.serve` call."""
-
-    rank: int
-    assigned: tuple[int, ...]  #: global trace indices, dispatch order
-    results: tuple[RequestResult, ...]  #: re-labelled with global indices
-    stats: SchedulerStats  #: the worker scheduler's own aggregate view
-    plan_rows: dict  #: this run's :func:`plan_histograms` difference
-    plan_dims: dict  #: :func:`plan_dims` of the worker's plans
-    prefix_cache: PrefixCacheStats | None  #: this run's cache counters
-    elapsed_s: float  #: worker wall time for its scheduler run
-
-    @property
-    def new_tokens(self) -> int:
-        return sum(len(r.new_tokens) for r in self.results)
-
-    @property
-    def tokens_per_s(self) -> float:
-        return self.new_tokens / self.elapsed_s if self.elapsed_s else 0.0
-
-    @property
-    def occupancy(self) -> float:
-        return self.stats.mean_occupancy
-
-    def queue_wait(self) -> dict[str, float]:
-        """Queue-wait step percentiles for this worker's requests."""
-        return queue_wait_percentiles(self.results)
 
 
 @dataclass(frozen=True)
@@ -222,6 +131,11 @@ class FleetReport:
         }
         return PrefixCacheStats(**summed)
 
+    @property
+    def rejected(self) -> tuple[tuple[int, str], ...]:
+        """Every worker's ``(trace index, message)`` rejections, in order."""
+        return tuple(sorted(r for w in self.workers for r in w.rejected))
+
     def queue_wait(self) -> dict[str, float]:
         """Fleet-wide queue-wait step percentiles."""
         return queue_wait_percentiles(self.results)
@@ -244,24 +158,17 @@ class Router:
 
     ``checkpoint`` is a :func:`repro.model.checkpoint.save_model`
     directory; every worker loads it independently at startup (the
-    concurrent-reader stress the checkpoint format is designed for).
+    concurrent-reader stress the checkpoint format is designed for) and
+    serves it under ``config`` (default: :class:`ServeConfig`'s).
     Use as a context manager, or call :meth:`close` explicitly.
     """
 
     def __init__(
-        self,
-        checkpoint,
-        workers: int,
-        *,
-        backend: str = DEFAULT_BACKEND,
-        max_slots: int = 8,
-        capacity: int | None = None,
-        prefill_chunk: int | None = None,
-        prefix_cache_bytes: int = 0,
+        self, checkpoint, workers: int, config: ServeConfig | None = None
     ) -> None:
         if workers < 1:
             raise ConfigError(f"router needs >= 1 worker, got {workers}")
-        get_backend(backend)  # fail before spawning, not in every worker
+        config = config if config is not None else ServeConfig()
         self.workers = workers
         self._procs = []
         self._conns = []
@@ -270,15 +177,7 @@ class Router:
             for rank in range(workers):
                 proc, conn = spawn_worker(
                     _data_worker_main,
-                    (
-                        rank,
-                        str(checkpoint),
-                        backend,
-                        max_slots,
-                        capacity,
-                        prefill_chunk,
-                        prefix_cache_bytes,
-                    ),
+                    (rank, str(checkpoint), config),
                     name=f"serve-worker-{rank}",
                 )
                 self._procs.append(proc)
@@ -321,40 +220,33 @@ class Router:
         assignment = self.dispatch(requests)
         start = time.perf_counter()
         for rank, conn in enumerate(self._conns):
-            subset = [requests[i] for i in assignment[rank]]
-            conn.send(("run", subset))
+            conn.send([requests[i] for i in assignment[rank]])
         reports = []
-        merged: list[RequestResult | None] = [None] * len(requests)
         for rank, conn in enumerate(self._conns):
-            kind, payload = self._recv(rank, conn)
+            kind, report = self._recv(rank, conn)
             if kind != "ok":
-                raise RuntimeError(f"serve worker {rank}: {payload}")
-            results, stats, plan_rows, dims, cache_stats, elapsed = payload
-            relabelled = []
-            for result in results:
-                global_id = assignment[rank][result.request_id]
-                relabelled.append(
-                    dataclasses.replace(result, request_id=global_id)
-                )
-                merged[global_id] = relabelled[-1]
+                raise RuntimeError(f"serve worker {rank}: {report}")
+            indices = assignment[rank]
             reports.append(
-                WorkerReport(
+                dataclasses.replace(
+                    report,
                     rank=rank,
-                    assigned=tuple(assignment[rank]),
-                    results=tuple(relabelled),
-                    stats=stats,
-                    plan_rows=plan_rows,
-                    plan_dims=dims,
-                    prefix_cache=cache_stats,
-                    elapsed_s=elapsed,
+                    assigned=tuple(indices),
+                    results=tuple(
+                        dataclasses.replace(r, request_id=indices[r.request_id])
+                        for r in report.results
+                    ),
+                    rejected=tuple(
+                        (indices[index], message) for index, message in report.rejected
+                    ),
                 )
             )
         elapsed_s = time.perf_counter() - start
-        return FleetReport(
-            workers=tuple(reports),
-            results=tuple(r for r in merged if r is not None),
-            elapsed_s=elapsed_s,
+        results = sorted(
+            (r for report in reports for r in report.results),
+            key=lambda r: r.request_id,
         )
+        return FleetReport(tuple(reports), tuple(results), elapsed_s)
 
     def close(self) -> None:
         """Shut every worker down and reap the processes."""

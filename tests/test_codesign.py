@@ -425,6 +425,10 @@ class TestCaptureLedger:
             ),
             (("--workers", "2"), {}),
             (("--workers", "2", "--prefix-cache-mb", "16", "--prefill-chunk", "8"), {}),
+            (
+                ("--workers", "2", "--draft", "bigram", "--spec-k", "4"),
+                {"verify_steps": 3, "drafted_tokens": 12, "accepted_draft_tokens": 12},
+            ),
         ],
         ids=[
             "fifo",
@@ -432,6 +436,7 @@ class TestCaptureLedger:
             "bigram-draft",
             "fleet",
             "fleet-prefix-cache-chunked",
+            "fleet-bigram-draft",
         ],
     )
     def test_rows_conserve_served_tokens(self, tmp_path, extra, counters):
@@ -491,6 +496,23 @@ class TestServeSimRecord:
         assert prompt[0] == prompt[1] == sum(
             r["prompt_length"] for r in solo["results"]
         )
+
+
+    @pytest.mark.parametrize(
+        "draft", ["bigram", "policy:int2@g[32,4]"], ids=["bigram", "policy"]
+    )
+    def test_fleet_drafts_match_one_worker(self, tmp_path, draft):
+        streams = {}
+        for workers in ("1", "2"):
+            path = tmp_path / f"w{workers}.json"
+            assert main(
+                ["serve-sim", *SERVE_ARGS, "--draft", draft, "--spec-k", "4",
+                 "--workers", workers, "--json", str(path)]
+            ) == 0
+            record = json.loads(path.read_text())
+            assert record["stats"]["verify_steps"] > 0
+            streams[workers] = [r["new_tokens"] for r in record["results"]]
+        assert streams["2"] == streams["1"]
 
 
 class TestGoldenStreams:
@@ -581,10 +603,16 @@ class TestCodesignCli:
 
         csv_path = tmp_path / "codesign.csv"
         csv_path.write_text(csv_path.read_text() + "tampered\n")
+        stale = csv_path.read_bytes()
         assert self._run(capture_dir, tmp_path, "--check") == 1
         captured = capsys.readouterr()
         assert "STALE" in captured.err
-        # The artifact was rewritten, so a second check passes.
+        # The start of a unified diff names the drifted line.
+        assert "-tampered" in captured.err
+        # A failing check writes nothing: the stale bytes stay.
+        assert csv_path.read_bytes() == stale
+        assert self._run(capture_dir, tmp_path, "--check") == 1
+        assert self._run(capture_dir, tmp_path) == 0
         assert self._run(capture_dir, tmp_path, "--check") == 0
 
     def test_reserved_axes_rejected(self, capture_dir, tmp_path, capsys):

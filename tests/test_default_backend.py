@@ -19,7 +19,13 @@ from repro.llm.bigram import BigramLm
 from repro.llm.perplexity import evaluate_perplexity, table2_rows
 from repro.llm.transformer import Decoder, TransformerConfig, init_weights
 from repro.model import InferenceSession, MatrixSession, parse_policy, quantize_model
-from repro.serve import BatchedSession, Router, SessionDraft, SpeculativeSession
+from repro.serve import (
+    BatchedSession,
+    Router,
+    ServeConfig,
+    SessionDraft,
+    SpeculativeSession,
+)
 
 #: (callable, name of its backend parameter) for every entry point.
 ENTRY_POINTS = [
@@ -34,7 +40,7 @@ ENTRY_POINTS = [
     (InferenceSession.from_checkpoint, "backend"),
     (BatchedSession, "backend"),
     (BatchedSession.from_checkpoint, "backend"),
-    (Router, "backend"),
+    (ServeConfig, "backend"),
     (SessionDraft, "backend"),
     (SpeculativeSession, "backend"),
     (BigramLm.serve, "backend"),
@@ -80,7 +86,7 @@ def _no_spawn(*args, **kwargs):
         lambda model, tmp: MatrixSession(
             next(iter(model.matrices().values())), backend="nope"
         ),
-        lambda model, tmp: Router(tmp, 2, backend="nope"),
+        lambda model, tmp: Router(tmp, 2, ServeConfig(backend="nope")),
     ],
     ids=["InferenceSession", "BatchedSession", "MatrixSession", "Router"],
 )

@@ -254,8 +254,13 @@ class TestReportCli:
         out = tmp_path / "EXPERIMENTS.md"
         assert main(["report", "--out", str(out)]) == 0
         out.write_text(out.read_text() + "tampered\n")
+        stale = out.read_bytes()
         assert main(["report", "--out", str(out), "--check"]) == 1
-        # The rewrite repaired it, so the check now passes again.
+        # A check never writes: the stale bytes stay, and so does the failure.
+        assert out.read_bytes() == stale
+        assert main(["report", "--out", str(out), "--check"]) == 1
+        # Regenerating without --check repairs it.
+        assert main(["report", "--out", str(out)]) == 0
         assert main(["report", "--out", str(out), "--check"]) == 0
 
     def test_check_fails_on_injected_deviation(

@@ -12,6 +12,7 @@ Covers the `repro.serve.shard` layer and its supports:
   directory simultaneously see bit-identical models.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -38,7 +39,16 @@ from repro.model.checkpoint import save_model
 from repro.model.session import Telemetry
 from repro.quant.groups import GroupSpec
 from repro.quant.rtn import quantize_rtn
-from repro.serve import BatchedSession, Request, Router, Scheduler
+from repro.serve import (
+    BatchedSession,
+    Replica,
+    Request,
+    Router,
+    Scheduler,
+    ServeConfig,
+)
+
+FOUR_SLOTS = ServeConfig(max_batch=4)
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +164,7 @@ class TestRouter:
     def test_dispatch_balances_outstanding_tokens(self, checkpoint, setup):
         config, _, _ = setup
         requests = trace(config, count=8)
-        with Router(checkpoint, workers=2, max_slots=4) as router:
+        with Router(checkpoint, workers=2, config=FOUR_SLOTS) as router:
             assignment = router.dispatch(requests)
         assert sorted(i for ranks in assignment for i in ranks) == list(range(8))
         # Replaying the greedy rule reproduces the assignment exactly.
@@ -171,7 +181,7 @@ class TestRouter:
         single = Scheduler(
             BatchedSession(qmodel, max_slots=4), max_batch=4
         ).run(list(requests))
-        with Router(checkpoint, workers=2, max_slots=4) as router:
+        with Router(checkpoint, workers=2, config=FOUR_SLOTS) as router:
             fleet = router.serve(list(requests))
         assert fleet.stats.completed == len(requests)
         for expect, got in zip(single, fleet.results, strict=False):
@@ -182,7 +192,7 @@ class TestRouter:
     def test_fleet_report_merges_telemetry(self, checkpoint, setup):
         config, _, qmodel = setup
         requests = trace(config, count=6)
-        with Router(checkpoint, workers=2, max_slots=4) as router:
+        with Router(checkpoint, workers=2, config=FOUR_SLOTS) as router:
             fleet = router.serve(list(requests))
         assert len(fleet.workers) == 2
         assert sum(len(w.results) for w in fleet.workers) == len(requests)
@@ -208,7 +218,7 @@ class TestRouter:
         config, _, _ = setup
         first_trace = trace(config, count=4, seed=7)
         second_trace = trace(config, count=4, seed=8)
-        with Router(checkpoint, workers=2, max_slots=4) as router:
+        with Router(checkpoint, workers=2, config=FOUR_SLOTS) as router:
             router.serve(list(first_trace))
             second = router.serve(list(second_trace))
         # A separately loaded model: its plans start from empty histograms.
@@ -226,9 +236,8 @@ class TestRouter:
         config, _, _ = setup
         first_trace = trace(config, count=4, seed=7)
         second_trace = trace(config, count=5, seed=8)
-        with Router(
-            checkpoint, workers=2, max_slots=4, prefix_cache_bytes=1 << 24
-        ) as router:
+        cached = ServeConfig(max_batch=4, prefix_cache_bytes=1 << 24)
+        with Router(checkpoint, workers=2, config=cached) as router:
             first = router.serve(list(first_trace))
             second = router.serve(list(second_trace))
         assert first.prefix_cache.lookups == len(first_trace)
@@ -241,11 +250,32 @@ class TestRouter:
     def test_serve_twice_reuses_the_fleet(self, checkpoint, setup):
         config, _, _ = setup
         requests = trace(config, count=4)
-        with Router(checkpoint, workers=2, max_slots=4) as router:
+        with Router(checkpoint, workers=2, config=FOUR_SLOTS) as router:
             first = router.serve(list(requests))
             second = router.serve(list(requests))
         for a, b in zip(first.results, second.results, strict=False):
             assert np.array_equal(a.tokens, b.tokens)
+
+    def test_fleet_records_rejections(self, checkpoint, setup):
+        # A request too long for the context window is rejected under its
+        # global trace index, and the fleet serves the rest, exactly as
+        # one in-process replica does.
+        config, _, qmodel = setup
+        requests = trace(config, count=5)
+        requests[1] = dataclasses.replace(
+            requests[1], prompt=np.zeros(config.max_seq - 4, dtype=np.int64)
+        )
+        solo = Replica(qmodel, FOUR_SLOTS).serve(list(requests))
+        with Router(checkpoint, workers=2, config=FOUR_SLOTS) as router:
+            fleet = router.serve(list(requests))
+        assert [index for index, _ in fleet.rejected] == [1]
+        assert "exceeds the model context window" in fleet.rejected[0][1]
+        assert fleet.rejected == solo.rejected
+        assert sum(len(w.rejected) for w in fleet.workers) == 1
+        assert [r.request_id for r in fleet.results] == [0, 2, 3, 4]
+        for expect, got in zip(solo.results, fleet.results, strict=True):
+            assert expect.request_id == got.request_id
+            assert np.array_equal(expect.tokens, got.tokens)
 
     def test_bad_worker_count_rejected(self, checkpoint):
         with pytest.raises(ConfigError):
@@ -253,10 +283,34 @@ class TestRouter:
 
     def test_closed_router_rejects_serve(self, checkpoint, setup):
         config, _, _ = setup
-        router = Router(checkpoint, workers=2, max_slots=4)
+        router = Router(checkpoint, workers=2, config=FOUR_SLOTS)
         router.close()
         with pytest.raises(RuntimeError):
             router.serve(trace(config, count=2))
+
+
+class TestReplica:
+    def test_config_rejects_bad_drafts(self):
+        with pytest.raises(ConfigError, match="spec_k >= 1"):
+            ServeConfig(draft="bigram", spec_k=0)
+        with pytest.raises(ConfigError, match="draft must be"):
+            ServeConfig(draft="trigram")
+
+    def test_serve_reports_its_own_run(self, setup):
+        # A warm replica's second call reports exactly the work a fresh
+        # replica does for that trace: set-up and earlier calls never count.
+        config, _, qmodel = setup
+        serve = ServeConfig(max_batch=4, prefix_cache_bytes=1 << 24, draft="bigram")
+        warm = Replica(qmodel, serve)
+        warm.serve(trace(config, count=4, seed=7))
+        second = warm.serve(trace(config, count=4, seed=8))
+        fresh = Replica(qmodel, serve).serve(trace(config, count=4, seed=8))
+        assert second.assigned == (0, 1, 2, 3)
+        assert second.prefix_cache.lookups == 4
+        assert second.stats.completed == fresh.stats.completed == 4
+        for a, b in zip(second.results, fresh.results, strict=True):
+            assert np.array_equal(a.tokens, b.tokens)
+        assert fresh.stats.verify_steps > 0
 
 
 def _concurrent_reader(conn, barrier, path):
