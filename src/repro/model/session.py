@@ -42,9 +42,24 @@ from repro.engine import (
     plan_histograms,
 )
 from repro.errors import ConfigError
-from repro.llm.transformer import Decoder, DecoderWeights, TransformerConfig
+from repro.llm.transformer import Decoder
 from repro.model.policy import QuantizedModel
 from repro.simt.memoryhier import GemmShape
+
+
+def build_decoder(model: QuantizedModel, backend: str) -> Decoder:
+    """The decoder every session over ``model`` runs on ``backend``.
+
+    Only a model quantized from a
+    :class:`~repro.llm.transformer.DecoderWeights` with ``config=...``
+    carries the dimensions and weights a decoder needs.
+    """
+    if model.config is None or model.weights is None:
+        raise ConfigError(
+            "a session needs decoder config and weights; "
+            "quantize a DecoderWeights with config=..."
+        )
+    return Decoder(model.config, model.weights, model, backend=backend)
 
 
 def check_tokens(tokens: np.ndarray, vocab: int) -> np.ndarray:
@@ -265,24 +280,11 @@ class InferenceSession:
     both with greedy or top-k sampling.
     """
 
-    def __init__(
-        self,
-        model: QuantizedModel,
-        backend: str = DEFAULT_BACKEND,
-        config: TransformerConfig | None = None,
-        weights: DecoderWeights | None = None,
-    ) -> None:
-        cfg = config if config is not None else model.config
-        w = weights if weights is not None else model.weights
-        if cfg is None or w is None:
-            raise ConfigError(
-                "an inference session needs decoder config and weights; "
-                "quantize a DecoderWeights with config=... or pass them here"
-            )
+    def __init__(self, model: QuantizedModel, backend: str = DEFAULT_BACKEND) -> None:
         self.model = model
-        self.config = cfg
         self.backend = backend
-        self.decoder = Decoder(cfg, w, model, backend=backend)
+        self.decoder = build_decoder(model, backend)
+        self.config = self.decoder.config
         self._ledger_start = plan_histograms(self.decoder.plans)
         self.cache = self.decoder.init_batched_cache(1)
         self._slot = self.cache.allocate()

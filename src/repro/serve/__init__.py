@@ -13,20 +13,21 @@ decoder so the per-token GEMMs amortize across the whole batch.
   and retire-on-EOS-or-length between steps, chunked prefill
   (``prefill_chunk`` bounds prompt tokens ingested per step so a long
   prompt cannot stall resident decodes), per-request and aggregate
-  telemetry;
+  telemetry; :meth:`Scheduler.run` is the one drive loop — it replays
+  a trace arrival-paced, records rejections and frees its slots when a
+  step raises;
 * :class:`RadixPrefixCache` (:mod:`repro.serve.prefix`) — a radix-tree
   prompt-prefix cache over KV state with LRU eviction under a byte
   budget; sessions seeded from it skip re-prefilling shared prompt
   prefixes, bit-identically;
-* :class:`SpeculativeSession` + drafts (:mod:`repro.serve.speculative`)
-  — speculative decoding with bit-exact greedy verification: a cheap
-  draft (:class:`BigramDraft` table, :class:`SessionDraft` low-bit
-  checkpoint) proposes ``k`` tokens, the target verifies all ``k + 1``
-  positions in one multi-row pass and rolls rejects back; the
-  scheduler integrates it via ``speculate=(draft, k)``;
-* :func:`synthesize` / :func:`replay` (:mod:`repro.serve.trace`) —
-  deterministic synthetic request traces (including shared-prefix
-  traffic) and arrival-paced replay;
+* drafts (:mod:`repro.serve.speculative`) — speculative decoding with
+  bit-exact greedy verification: a cheap draft (:class:`BigramDraft`
+  table, :class:`SessionDraft` low-bit checkpoint) proposes ``k``
+  tokens, the target verifies all ``k + 1`` positions in one
+  multi-row pass and rolls rejects back; the scheduler integrates it
+  via ``speculate=(draft, k)``;
+* :func:`synthesize` (:mod:`repro.serve.trace`) — deterministic
+  synthetic request traces, including shared-prefix traffic;
 * :class:`Replica` (:mod:`repro.serve.replica`) — the one served run
   that ``serve-sim``, every :class:`Router` worker, the co-design
   captures and ``spec_decode`` drive: session, prefix cache and draft
@@ -68,11 +69,9 @@ from repro.serve.speculative import (
     BigramDraft,
     DraftModel,
     SessionDraft,
-    SpeculativeResult,
-    SpeculativeSession,
     propose_batch,
 )
-from repro.serve.trace import ReplayReport, TraceSpec, replay, synthesize
+from repro.serve.trace import TraceSpec, synthesize
 
 __all__ = [
     "AdversarialDraft",
@@ -83,7 +82,6 @@ __all__ = [
     "PrefixCacheStats",
     "RadixPrefixCache",
     "Replica",
-    "ReplayReport",
     "Request",
     "RequestResult",
     "Router",
@@ -91,11 +89,8 @@ __all__ = [
     "SchedulerStats",
     "ServeConfig",
     "SessionDraft",
-    "SpeculativeResult",
-    "SpeculativeSession",
     "TraceSpec",
     "WorkerReport",
     "propose_batch",
-    "replay",
     "synthesize",
 ]

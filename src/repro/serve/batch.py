@@ -43,14 +43,9 @@ import numpy as np
 
 from repro.engine import DEFAULT_BACKEND, plan_histograms
 from repro.errors import ConfigError
-from repro.llm.transformer import (
-    BatchedKVCache,
-    Decoder,
-    DecoderWeights,
-    TransformerConfig,
-)
+from repro.llm.transformer import BatchedKVCache
 from repro.model.policy import QuantizedModel
-from repro.model.session import Telemetry, check_tokens
+from repro.model.session import Telemetry, build_decoder, check_tokens
 from repro.serve.prefix import RadixPrefixCache
 
 
@@ -76,22 +71,13 @@ class BatchedSession:
         backend: str = DEFAULT_BACKEND,
         max_slots: int = 8,
         capacity: int | None = None,
-        config: TransformerConfig | None = None,
-        weights: DecoderWeights | None = None,
         prefix_cache: RadixPrefixCache | None = None,
     ) -> None:
-        cfg = config if config is not None else model.config
-        w = weights if weights is not None else model.weights
-        if cfg is None or w is None:
-            raise ConfigError(
-                "a batched session needs decoder config and weights; "
-                "quantize a DecoderWeights with config=... or pass them here"
-            )
         self.model = model
-        self.config = cfg
         self.backend = backend
         self.prefix_cache = prefix_cache
-        self.decoder = Decoder(cfg, w, model, backend=backend)
+        self.decoder = build_decoder(model, backend)
+        self.config = self.decoder.config
         self._ledger_start = plan_histograms(self.decoder.plans)
         self.cache: BatchedKVCache = self.decoder.init_batched_cache(
             max_slots, capacity
@@ -101,26 +87,6 @@ class BatchedSession:
     def telemetry(self) -> Telemetry:
         """GEMM work this session's plans executed since it was built."""
         return Telemetry.since(self.decoder.plans, self._ledger_start)
-
-    @classmethod
-    def from_checkpoint(
-        cls,
-        path,
-        backend: str = DEFAULT_BACKEND,
-        max_slots: int = 8,
-        capacity: int | None = None,
-        prefix_cache: RadixPrefixCache | None = None,
-    ) -> "BatchedSession":
-        """Load a :func:`repro.model.checkpoint.save_model` directory."""
-        from repro.model.checkpoint import load_model
-
-        return cls(
-            load_model(path),
-            backend=backend,
-            max_slots=max_slots,
-            capacity=capacity,
-            prefix_cache=prefix_cache,
-        )
 
     # -- slot lifecycle ------------------------------------------------------
 

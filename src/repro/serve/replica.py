@@ -3,13 +3,15 @@
 A :class:`Replica` builds, once, what a :class:`ServeConfig` asks for:
 a :class:`~repro.serve.batch.BatchedSession` with ``max_batch`` slots,
 an optional :class:`~repro.serve.prefix.RadixPrefixCache` and an
-optional speculative draft.  :meth:`Replica.serve` replays a trace,
-arrival-paced, through a fresh :class:`~repro.serve.scheduler.Scheduler`
-and returns a :class:`WorkerReport` of that call alone: plan histograms
+optional speculative draft.  :meth:`Replica.serve` replays a trace
+through a fresh :class:`~repro.serve.scheduler.Scheduler`
+(:meth:`~repro.serve.scheduler.Scheduler.run`, arrival-paced) and
+returns a :class:`WorkerReport` of that call alone: plan histograms
 and cache counters are differences against a snapshot taken just
 before the replay, so set-up (draft distillation included) and earlier
 calls never count.  Rejected requests are recorded, not raised, so one
-bad request does not stop the rest.
+bad request does not stop the rest; a run that raises frees its slots,
+so the replica's next call serves in full.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from repro.serve.batch import BatchedSession
 from repro.serve.prefix import PrefixCacheStats, RadixPrefixCache
 from repro.serve.scheduler import Request, RequestResult, Scheduler, SchedulerStats
 from repro.serve.speculative import BigramDraft, SessionDraft
-from repro.serve.trace import replay
 
 
 @dataclass(frozen=True)
@@ -146,19 +147,19 @@ class Replica:
         before = plan_histograms(plans)
         cache_before = cache.stats() if cache is not None else None
         start = time.perf_counter()
-        report = replay(scheduler, requests, strict=False)
+        results = scheduler.run(requests)
         elapsed = time.perf_counter() - start
         # Scheduler ids count accepted requests only; map them to positions.
-        skipped = {index for index, _ in report.rejected}
+        skipped = {index for index, _ in scheduler.rejections}
         accepted = [i for i in range(len(requests)) if i not in skipped]
         return WorkerReport(
             rank=0,
             assigned=tuple(range(len(requests))),
             results=tuple(
                 dataclasses.replace(r, request_id=accepted[r.request_id])
-                for r in report.results
+                for r in results
             ),
-            rejected=tuple(report.rejected),
+            rejected=tuple(scheduler.rejections),
             stats=scheduler.stats(),
             plan_rows=diff_plan_histograms(plan_histograms(plans), before),
             plan_dims=plan_dims(plans),

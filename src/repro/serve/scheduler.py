@@ -78,6 +78,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -91,7 +92,7 @@ class Request:
     """One generation request, as submitted to the scheduler.
 
     ``arrival`` is the replay timestamp in scheduler steps — only
-    :func:`repro.serve.replay` interprets it (``submit`` queues
+    :meth:`Scheduler.run` interprets it (``submit`` queues
     immediately); it lets synthetic traces model requests arriving
     while the server is mid-decode.
     """
@@ -227,8 +228,9 @@ class Scheduler:
 
     Drive it either request-by-request (:meth:`submit` then
     :meth:`step` until it returns ``False``) or in one call
-    (:meth:`run`); :func:`repro.serve.replay` adds arrival-time
-    semantics for trace replay.  ``prefill_chunk`` caps the prompt
+    (:meth:`run`, which replays a trace arrival-paced, records
+    rejections in :attr:`rejections` and frees its residents' slots
+    when a step raises).  ``prefill_chunk`` caps the prompt
     tokens ingested per step (``None`` = unbounded, prompts prefill in
     one pass at admission).  ``speculate=(draft, k)`` turns the decode
     pass into a speculative verify pass for greedy residents (see the
@@ -272,6 +274,8 @@ class Scheduler:
         self.busy_steps = 0
         self.decode_steps = 0
         self.rejected = 0
+        #: (index into the :meth:`run` trace, message) per RequestError.
+        self.rejections: list[tuple[int, str]] = []
         self.prefill_tokens = 0
         self.cached_prefix_tokens = 0
         self.decode_tokens = 0
@@ -452,13 +456,21 @@ class Scheduler:
         length budget, then decode the continuing batch in lock-step
         (one GEMM per weight matrix, ``m`` = continuing requests).
         Idle schedulers (nothing queued or resident) return ``False``
-        without counting a step.
+        without counting a step; one that has queued requests but no
+        residents and no free slot raises
+        :class:`~repro.errors.ConfigError` rather than spin.
         """
         if not self._queue and not self._active:
             return False
         if self._first_busy_time is None:
             self._first_busy_time = time.perf_counter()
         self._admit()
+        if not self._active:
+            raise ConfigError(
+                f"{len(self._queue)} queued requests cannot make progress: "
+                f"all {self.session.max_slots} session slots are held "
+                "outside this scheduler"
+            )
         self._ingest()
         self._occupancy_total += len(self._active) / self.max_batch
         continuing: list[_ActiveRequest] = []
@@ -592,18 +604,44 @@ class Scheduler:
         """Advance the step clock through an idle tick (trace replay)."""
         self.steps += 1
 
-    def run(self, requests: list[Request] | None = None) -> list[RequestResult]:
-        """Submit ``requests`` (if given) and step until drained.
+    def run(self, requests: Sequence[Request]) -> list[RequestResult]:
+        """Replay ``requests`` arrival-paced and step until drained.
 
-        Arrival times are ignored here — everything queues immediately;
-        use :func:`repro.serve.replay` for arrival-paced traces.
+        Each request is submitted once the step clock reaches its
+        ``arrival`` (the trace must be arrival-sorted, as
+        :func:`repro.serve.synthesize` produces); idle gaps tick the
+        clock without decoding.  A :class:`~repro.errors.RequestError`
+        rejection is recorded in :attr:`rejections` and the rest are
+        served; a malformed prompt (:class:`~repro.errors.ConfigError`)
+        raises.  When anything raises, the slots of this scheduler's
+        residents are freed first, so the session stays usable.
         Returns completed results ordered by request id.
         """
-        for request in requests or []:
-            self.submit(request)
-        while self.step():
-            pass
-        return self.results()
+        arrivals = [r.arrival for r in requests]
+        if arrivals != sorted(arrivals):
+            raise ConfigError("trace must be sorted by arrival step")
+        index = 0
+        try:
+            while True:
+                while index < len(requests) and requests[index].arrival <= self.steps:
+                    try:
+                        self.submit(requests[index])
+                    except RequestError as exc:
+                        self.rejections.append((index, str(exc)))
+                    index += 1
+                if self.step():
+                    continue
+                if index == len(requests):
+                    return self.results()
+                self.skip_idle()  # gap before the next arrival
+        except BaseException:
+            # A raising step may already have retired some residents.
+            held = set(self.session.active_slots)
+            for state in self._active:
+                if state.slot in held:
+                    self.session.retire(state.slot)
+            self._active = []
+            raise
 
     # -- telemetry -----------------------------------------------------------
 

@@ -47,13 +47,13 @@ Drafts
 The accept/rollback loop lives in one place,
 ``Scheduler(speculate=(draft, k))`` (:mod:`repro.serve.scheduler`),
 which verifies every resident greedy request's window in one ragged
-pass per step.  :class:`SpeculativeSession` is the single-sequence API
-mirroring ``InferenceSession.generate``: a one-request scheduler run.
+pass per step.  Single-sequence speculative generation is that loop
+over one slot: ``Replica(qmodel, ServeConfig(max_batch=1,
+draft="bigram")).serve([Request(prompt, 64)])``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -61,15 +61,9 @@ import numpy as np
 from repro.engine import DEFAULT_BACKEND
 from repro.errors import ConfigError
 from repro.llm.bigram import BigramLm
-from repro.llm.transformer import (
-    BatchedKVCache,
-    Decoder,
-    DecoderWeights,
-    TransformerConfig,
-)
-from repro.model.session import check_tokens
-from repro.serve.batch import BatchedSession
-from repro.serve.scheduler import Request, Scheduler
+from repro.llm.transformer import BatchedKVCache, Decoder
+from repro.model.policy import QuantizedModel
+from repro.model.session import build_decoder, check_tokens
 
 
 @runtime_checkable
@@ -193,22 +187,13 @@ class SessionDraft:
 
     def __init__(
         self,
-        model,
+        model: QuantizedModel,
         backend: str = DEFAULT_BACKEND,
         max_slots: int = 8,
-        config: TransformerConfig | None = None,
-        weights: DecoderWeights | None = None,
     ) -> None:
-        cfg = config if config is not None else model.config
-        w = weights if weights is not None else model.weights
-        if cfg is None or w is None:
-            raise ConfigError(
-                "a session draft needs decoder config and weights; "
-                "quantize a DecoderWeights with config=... or pass them here"
-            )
-        self.config = cfg
         self.backend = backend
-        self.decoder = Decoder(cfg, w, model, backend=backend)
+        self.decoder = build_decoder(model, backend)
+        self.config = self.decoder.config
         self.cache: BatchedKVCache = self.decoder.init_batched_cache(max_slots)
         #: slot -> resident token sequence (for prefix matching).
         self._held: dict[int, list[int]] = {}
@@ -317,136 +302,3 @@ class AdversarialDraft:
             (p + self.shift) % self.vocab
             for p in propose_batch(self.inner, contexts, k)
         ]
-
-
-@dataclass(frozen=True)
-class SpeculativeResult:
-    """Outcome + speculation telemetry of one speculative generation."""
-
-    tokens: np.ndarray  #: prompt + generated tokens
-    prompt_length: int
-    finish_reason: str  #: ``"length"`` or ``"eos"``
-    drafted_tokens: int  #: draft proposals fed to verify passes
-    accepted_draft_tokens: int  #: of which matched the target's argmax
-    verify_steps: int  #: multi-row target passes issued
-
-    @property
-    def new_tokens(self) -> np.ndarray:
-        """The generated continuation only."""
-        # detlint: ignore[D007]: slice of the result-owned token array, not
-        # pool-backed cache state — nothing mutates it after completion.
-        return self.tokens[self.prompt_length :]
-
-    @property
-    def wasted_draft_tokens(self) -> int:
-        """Drafted positions whose verify rows were thrown away."""
-        return self.drafted_tokens - self.accepted_draft_tokens
-
-    @property
-    def acceptance_rate(self) -> float:
-        """Accepted / drafted (0.0 when nothing was drafted)."""
-        if not self.drafted_tokens:
-            return 0.0
-        return self.accepted_draft_tokens / self.drafted_tokens
-
-    @property
-    def accepted_per_step(self) -> float:
-        """Mean accepted draft tokens per verify pass.
-
-        Each pass also commits its own argmax token, so the emitted
-        tokens per target pass is ``1 + accepted_per_step``.
-        """
-        if not self.verify_steps:
-            return 0.0
-        return self.accepted_draft_tokens / self.verify_steps
-
-
-class SpeculativeSession:
-    """Greedy speculative generation, token-identical to ``generate``.
-
-    A one-request run of ``Scheduler(speculate=(draft, k))`` over a
-    1-slot :class:`~repro.serve.BatchedSession`, with a ``generate``
-    mirroring :meth:`repro.model.InferenceSession.generate` (greedy
-    only — speculation is an argmax-chain property).  The scheduler's
-    verify loop is the only accept/rollback loop: each step feeds
-    ``[pending] + draft(k)`` through one verify pass (``m = k + 1``
-    rows, one GEMM per weight matrix), emits the longest matching
-    greedy prefix plus the pass's own argmax token, and truncates the
-    rejected suffix out of the KV cache.  ``k = 0`` degenerates to
-    plain one-token-at-a-time decoding through ``m = 1`` verify passes.
-    """
-
-    def __init__(
-        self,
-        model,
-        draft: DraftModel,
-        k: int,
-        backend: str = DEFAULT_BACKEND,
-        config: TransformerConfig | None = None,
-        weights: DecoderWeights | None = None,
-    ) -> None:
-        if k < 0:
-            raise ConfigError(f"speculation depth k must be >= 0, got {k}")
-        if not callable(getattr(draft, "propose", None)):
-            raise ConfigError(
-                "draft must implement propose(context, k) (see DraftModel)"
-            )
-        self.draft = draft
-        self.k = int(k)
-        self._session = BatchedSession(
-            model, backend=backend, max_slots=1, config=config, weights=weights
-        )
-
-    @property
-    def config(self) -> TransformerConfig:
-        return self._session.config
-
-    @property
-    def decoder(self) -> Decoder:
-        return self._session.decoder
-
-    @property
-    def telemetry(self):
-        return self._session.telemetry
-
-    def generate(
-        self,
-        prompt: np.ndarray,
-        max_new_tokens: int,
-        eos_token: int | None = None,
-    ) -> SpeculativeResult:
-        """Greedily generate ``max_new_tokens`` (or up to EOS).
-
-        Token-identical to ``InferenceSession.generate(prompt,
-        max_new_tokens)`` with the same model/backend (truncated at the
-        first ``eos_token`` when one is given), for any draft and any
-        ``k`` — see the module docstring for the argument.
-        """
-        if max_new_tokens < 1:
-            raise ConfigError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
-        prompt = check_tokens(prompt, self.config.vocab)
-        total = prompt.shape[0] + max_new_tokens
-        if total > self.config.max_seq:
-            raise ConfigError(
-                f"prompt ({prompt.shape[0]}) + max_new_tokens "
-                f"({max_new_tokens}) = {total} exceeds "
-                f"max_seq={self.config.max_seq}"
-            )
-        scheduler = Scheduler(self._session, speculate=(self.draft, self.k))
-        try:
-            [result] = scheduler.run(
-                [Request(prompt, max_new_tokens, eos_token=eos_token)]
-            )
-        finally:
-            # A step that raised (e.g. a draft breaking its contract)
-            # strands its slot; free it so the session stays usable.
-            for slot in self._session.active_slots:
-                self._session.retire(slot)
-        return SpeculativeResult(
-            tokens=result.tokens,
-            prompt_length=result.prompt_length,
-            finish_reason=result.finish_reason,
-            drafted_tokens=result.drafted_tokens,
-            accepted_draft_tokens=result.accepted_draft_tokens,
-            verify_steps=scheduler.stats().verify_steps,
-        )

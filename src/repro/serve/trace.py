@@ -1,13 +1,13 @@
-"""Synthetic request traces and arrival-paced replay.
+"""Synthetic request traces.
 
 A *trace* is a list of :class:`~repro.serve.scheduler.Request` objects
 whose ``arrival`` fields are scheduler-step timestamps.
 :func:`synthesize` draws one deterministically from a
 :class:`TraceSpec` (geometric inter-arrivals, uniform prompt/budget
-lengths, per-request sampling seeds), and :func:`replay` feeds it to a
-:class:`~repro.serve.scheduler.Scheduler` with arrival semantics:
-requests become visible only once the step clock reaches their
-arrival, and the clock ticks through idle gaps.  Replay is fully
+lengths, per-request sampling seeds), and
+:meth:`~repro.serve.scheduler.Scheduler.run` replays it with arrival
+semantics: requests become visible only once the step clock reaches
+their arrival, and the clock ticks through idle gaps.  Replay is fully
 deterministic for a fixed spec — the generated token streams depend
 only on the seeds, never on wall-clock timing — which is what the CLI
 ``serve-sim`` subcommand and the trace-replay tests rely on.
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigError, RequestError
-from repro.serve.scheduler import Request, RequestResult, Scheduler
+from repro.errors import ConfigError
+from repro.serve.scheduler import Request
 
 
 @dataclass(frozen=True)
@@ -127,48 +127,3 @@ def synthesize(spec: TraceSpec, vocab: int, context_window: int) -> list[Request
             )
         )
     return requests
-
-
-@dataclass(frozen=True)
-class ReplayReport:
-    """What came out of a trace replay."""
-
-    results: list[RequestResult]
-    rejected: list[tuple[int, str]]  #: (trace index, rejection message)
-
-
-def replay(
-    scheduler: Scheduler,
-    requests: list[Request],
-    strict: bool = True,
-) -> ReplayReport:
-    """Feed a trace through a scheduler with arrival-time semantics.
-
-    Requests are submitted once the scheduler's step clock reaches
-    their ``arrival`` (the trace must be arrival-sorted, as
-    :func:`synthesize` produces); idle gaps tick the clock without
-    decoding.  ``strict=False`` records
-    :class:`~repro.errors.RequestError` rejections in the report
-    instead of raising — the server keeps serving the rest.
-    """
-    order = [r.arrival for r in requests]
-    if order != sorted(order):
-        raise ConfigError("trace must be sorted by arrival step")
-    rejected: list[tuple[int, str]] = []
-    index = 0
-    while True:
-        while index < len(requests) and requests[index].arrival <= scheduler.steps:
-            try:
-                scheduler.submit(requests[index])
-            except RequestError as exc:
-                if strict:
-                    raise
-                rejected.append((index, str(exc)))
-            index += 1
-        if scheduler.step():
-            continue
-        if index < len(requests):
-            scheduler.skip_idle()  # gap before the next arrival
-            continue
-        break
-    return ReplayReport(results=scheduler.results(), rejected=rejected)

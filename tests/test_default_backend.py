@@ -24,7 +24,6 @@ from repro.serve import (
     Router,
     ServeConfig,
     SessionDraft,
-    SpeculativeSession,
 )
 
 #: (callable, name of its backend parameter) for every entry point.
@@ -39,10 +38,8 @@ ENTRY_POINTS = [
     (InferenceSession, "backend"),
     (InferenceSession.from_checkpoint, "backend"),
     (BatchedSession, "backend"),
-    (BatchedSession.from_checkpoint, "backend"),
     (ServeConfig, "backend"),
     (SessionDraft, "backend"),
-    (SpeculativeSession, "backend"),
     (BigramLm.serve, "backend"),
     (BigramLm.logits_quantized, "mode"),
 ]

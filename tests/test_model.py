@@ -23,6 +23,7 @@ from repro.model import (
 from repro.model.checkpoint import MANIFEST_NAME
 from repro.quant.groups import GroupSpec
 from repro.quant.rtn import quantize_rtn
+from repro.serve import BatchedSession, SessionDraft
 
 
 @pytest.fixture(scope="module")
@@ -342,8 +343,9 @@ class TestCheckpoint:
             {"head": rng.normal(size=(32, 16))},
             QuantPolicy.uniform(group=GroupSpec(8, 4)),
         )
-        with pytest.raises(ConfigError):
-            InferenceSession(model)
+        for session in (InferenceSession, BatchedSession, SessionDraft):
+            with pytest.raises(ConfigError, match="needs decoder config and weights"):
+                session(model)
 
 
 class TestDecoderShims:

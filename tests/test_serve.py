@@ -17,7 +17,6 @@ from repro.serve import (
     Request,
     Scheduler,
     TraceSpec,
-    replay,
     synthesize,
 )
 
@@ -425,13 +424,25 @@ class TestScheduler:
         with pytest.raises(ConfigError, match="max_batch"):
             Scheduler(make_session(qmodel, max_slots=2), max_batch=3)
 
+    def test_no_free_slot_raises_instead_of_spinning(self, setup):
+        """Queued work, no residents and every slot held elsewhere: a
+        step can never make progress, so it raises."""
+        _, _, qmodel = setup
+        session = make_session(qmodel, max_slots=1)
+        session.admit(np.array([1]))
+        scheduler = Scheduler(session)
+        scheduler.submit(Request(prompt=np.array([2, 3]), max_new=2))
+        with pytest.raises(ConfigError, match="cannot make progress"):
+            for _ in range(1_000):  # bounded: a spinning step fails, not hangs
+                scheduler.step()
+        assert scheduler.queued == 1 and scheduler.steps == 0
+
 
 class TestTraceReplay:
     def run_trace(self, qmodel, spec, vocab, max_seq):
         scheduler = Scheduler(make_session(qmodel, max_slots=4), max_batch=4)
         trace = synthesize(spec, vocab, max_seq)
-        report = replay(scheduler, trace)
-        return report, scheduler.stats()
+        return scheduler.run(trace), scheduler.stats()
 
     def test_deterministic_under_fixed_seed(self, setup):
         config, _, qmodel = setup
@@ -445,8 +456,8 @@ class TestTraceReplay:
         )
         first, stats_a = self.run_trace(qmodel, spec, config.vocab, config.max_seq)
         second, stats_b = self.run_trace(qmodel, spec, config.vocab, config.max_seq)
-        tokens_a = [r.tokens.tolist() for r in first.results]
-        tokens_b = [r.tokens.tolist() for r in second.results]
+        tokens_a = [r.tokens.tolist() for r in first]
+        tokens_b = [r.tokens.tolist() for r in second]
         assert tokens_a == tokens_b
         assert stats_a.steps == stats_b.steps
         assert stats_a.decode_steps == stats_b.decode_steps
@@ -459,10 +470,20 @@ class TestTraceReplay:
         )
         trace = synthesize(spec, config.vocab, config.max_seq)
         scheduler = Scheduler(make_session(qmodel, max_slots=4), max_batch=4)
-        report = replay(scheduler, trace)
-        assert len(report.results) == 4
-        # the clock must have ticked through the idle arrival gaps
-        assert scheduler.steps >= max(r.arrival for r in trace)
+        submitted = []
+        submit = scheduler.submit
+
+        def recording_submit(request):
+            submitted.append(scheduler.steps)
+            return submit(request)
+
+        scheduler.submit = recording_submit
+        results = scheduler.run(trace)
+        assert len(results) == 4
+        # each request is submitted exactly at its arrival step, and the
+        # clock ticked through the idle gaps between them
+        assert submitted == [r.arrival for r in trace]
+        assert scheduler.stats().steps > scheduler.stats().busy_steps
 
     def test_synthesize_rejects_unservable_max_new(self, setup):
         """A max_new range no prompt could accompany is a spec error,
@@ -480,7 +501,8 @@ class TestTraceReplay:
             Request(prompt=np.array([2]), max_new=1, arrival=0),
         ]
         with pytest.raises(ConfigError, match="sorted by arrival"):
-            replay(scheduler, requests)
+            scheduler.run(requests)
+        assert scheduler.queued == 0 and scheduler.steps == 0
 
     def test_lenient_replay_records_rejections(self, setup):
         config, _, qmodel = setup
@@ -489,13 +511,50 @@ class TestTraceReplay:
             prompt=np.zeros(config.max_seq, dtype=np.int64), max_new=8
         )
         fine = Request(prompt=np.array([1, 2, 3]), max_new=2)
-        report = replay(scheduler, [oversized, fine], strict=False)
-        assert len(report.results) == 1
-        assert len(report.rejected) == 1
-        index, message = report.rejected[0]
+        results = scheduler.run([oversized, fine])
+        assert len(results) == 1
+        assert len(scheduler.rejections) == 1
+        index, message = scheduler.rejections[0]
         assert index == 0 and f"max_seq={config.max_seq}" in message
-        with pytest.raises(RequestError):
-            replay(Scheduler(make_session(qmodel)), [oversized], strict=True)
+        assert scheduler.stats().rejected == 1
+        # a malformed prompt is the caller's bug: it still raises
+        with pytest.raises(ConfigError, match="1-D token sequence"):
+            Scheduler(make_session(qmodel)).run(
+                [Request(prompt=np.array([[1, 2]]), max_new=2)]
+            )
+
+    @pytest.mark.parametrize("failing", ["prefill_step", "decode_step"])
+    def test_failed_run_frees_its_slots(self, setup, failing):
+        """A step that raises frees the slots its residents hold — and
+        only those, skipping a resident the same step already retired —
+        so the session serves the next run in full."""
+        config, _, qmodel = setup
+        session = make_session(qmodel, max_slots=3, capacity=32)
+        held, _ = session.admit(np.array([1]))
+        method = getattr(session, failing)
+        calls = []
+
+        def fails_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise RuntimeError("injected failure")
+            return method(*args)
+
+        setattr(session, failing, fails_once)
+        rng = np.random.default_rng(21)
+        # The 1-token request retires in the step whose decode raises.
+        requests = [
+            Request(prompt=rng.integers(0, config.vocab, size=n), max_new=m)
+            for n, m in ((6, 1), (5, 4), (7, 4))
+        ]
+        with pytest.raises(RuntimeError, match="injected"):
+            Scheduler(session).run(requests)
+        assert session.active_slots == [held]
+        results = Scheduler(session).run(requests)
+        for request, result in zip(requests, results, strict=True):
+            expect = InferenceSession(qmodel).generate(request.prompt, request.max_new)
+            assert np.array_equal(result.tokens, expect.tokens)
+        assert session.active_slots == [held]
 
 
 class TestChunkedPrefill:

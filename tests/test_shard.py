@@ -35,7 +35,7 @@ from repro.engine import (
 from repro.errors import ConfigError
 from repro.llm.transformer import TransformerConfig, init_weights
 from repro.model import parse_policy, quantize_model
-from repro.model.checkpoint import save_model
+from repro.model.checkpoint import load_model, save_model
 from repro.model.session import Telemetry
 from repro.quant.groups import GroupSpec
 from repro.quant.rtn import quantize_rtn
@@ -222,7 +222,7 @@ class TestRouter:
             router.serve(list(first_trace))
             second = router.serve(list(second_trace))
         # A separately loaded model: its plans start from empty histograms.
-        alone = BatchedSession.from_checkpoint(checkpoint, max_slots=4)
+        alone = BatchedSession(load_model(checkpoint), max_slots=4)
         Scheduler(alone, max_batch=4).run(list(second_trace))
         fleet = Telemetry(second.merged_plan_rows(), second.plan_dims)
         expected = alone.telemetry.stats
@@ -311,6 +311,31 @@ class TestReplica:
         for a, b in zip(second.results, fresh.results, strict=True):
             assert np.array_equal(a.tokens, b.tokens)
         assert fresh.stats.verify_steps > 0
+
+    def test_serve_after_a_failed_serve(self, setup, monkeypatch):
+        # A serve() that raises mid-run frees the replica's slots, so the
+        # next call serves every request in full.
+        config, _, qmodel = setup
+        replica = Replica(qmodel, ServeConfig(max_batch=2))
+        prefill_step = BatchedSession.prefill_step
+        failures = []
+
+        def fails_once(self, slots, chunks):
+            if not failures:
+                failures.append(list(slots))
+                raise RuntimeError("injected prefill failure")
+            return prefill_step(self, slots, chunks)
+
+        monkeypatch.setattr(BatchedSession, "prefill_step", fails_once)
+        requests = trace(config, count=4, seed=9)
+        with pytest.raises(RuntimeError, match="injected"):
+            replica.serve(requests)
+        assert replica.session.free_slots == 2
+        report = replica.serve(requests)
+        fresh = Replica(qmodel, ServeConfig(max_batch=2)).serve(requests)
+        assert report.stats.completed == len(requests)
+        for a, b in zip(report.results, fresh.results, strict=True):
+            assert np.array_equal(a.tokens, b.tokens)
 
 
 def _concurrent_reader(conn, barrier, path):

@@ -33,7 +33,6 @@ from repro.serve import (
     Request,
     Scheduler,
     SessionDraft,
-    SpeculativeSession,
     propose_batch,
 )
 
@@ -109,8 +108,22 @@ def reference_stream(qmodel, prompt, max_new, backend=DEFAULT_BACKEND, eos=None)
     return list(map(int, prompt)) + new
 
 
+def speculate(session, draft, k, prompt, max_new, eos=None):
+    """One greedy request through ``Scheduler(speculate=(draft, k))``.
+
+    Returns the request's result and the run's scheduler stats.
+    """
+    scheduler = Scheduler(session, speculate=(draft, k))
+    [result] = scheduler.run([Request(prompt, max_new, eos_token=eos)])
+    return result, scheduler.stats()
+
+
+def one_slot(qmodel, backend=DEFAULT_BACKEND):
+    return BatchedSession(qmodel, backend=backend, max_slots=1)
+
+
 class TestSessionIdentity:
-    """SpeculativeSession == InferenceSession.generate, everywhere."""
+    """A speculative scheduler over one slot == InferenceSession.generate."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", DRAFTS)
@@ -120,13 +133,11 @@ class TestSessionIdentity:
         rng = np.random.default_rng(0)
         # bitexact decodes ~1000x slower: one short prompt is plenty.
         cases = [(3, 4)] if backend == "bitexact" else [(3, 12), (9, 7)]
-        session = SpeculativeSession(
-            qmodel, drafts[name], k, backend=backend
-        )
+        session = one_slot(qmodel, backend)
         for size, max_new in cases:
             prompt = rng.integers(0, config.vocab, size=size)
             expect = reference_stream(qmodel, prompt, max_new, backend)
-            result = session.generate(prompt, max_new)
+            result, _ = speculate(session, drafts[name], k, prompt, max_new)
             assert list(map(int, result.tokens)) == expect, (backend, name, k)
             assert result.finish_reason == "length"
             assert len(result.new_tokens) == max_new
@@ -139,8 +150,7 @@ class TestSessionIdentity:
         probe = reference_stream(qmodel, prompt, 8)
         eos = probe[len(prompt) + 2]  # third generated token
         expect = reference_stream(qmodel, prompt, 8, eos=eos)
-        session = SpeculativeSession(qmodel, drafts[name], 4)
-        result = session.generate(prompt, 8, eos_token=eos)
+        result, _ = speculate(one_slot(qmodel), drafts[name], 4, prompt, 8, eos)
         assert list(map(int, result.tokens)) == expect
         assert result.finish_reason == "eos"
         assert int(result.tokens[-1]) == eos
@@ -150,8 +160,7 @@ class TestSessionIdentity:
         """k far beyond the budget: exactly max_new tokens come out."""
         config, _, qmodel = setup
         prompt = np.arange(4) % config.vocab
-        session = SpeculativeSession(qmodel, drafts[name], 8)
-        result = session.generate(prompt, 3)
+        result, _ = speculate(one_slot(qmodel), drafts[name], 8, prompt, 3)
         assert list(map(int, result.tokens)) == reference_stream(
             qmodel, prompt, 3
         )
@@ -161,16 +170,15 @@ class TestSessionIdentity:
     def test_k_zero_degenerates_to_plain_decode(self, setup, drafts):
         config, _, qmodel = setup
         prompt = np.arange(6) % config.vocab
-        session = SpeculativeSession(qmodel, drafts["bigram"], 0)
-        result = session.generate(prompt, 8)
+        result, stats = speculate(one_slot(qmodel), drafts["bigram"], 0, prompt, 8)
         assert list(map(int, result.tokens)) == reference_stream(
             qmodel, prompt, 8
         )
         assert result.drafted_tokens == 0
         assert result.accepted_draft_tokens == 0
-        assert result.acceptance_rate == 0.0
+        assert stats.draft_acceptance_rate == 0.0
         # one verify pass (m=1: plain decode) per non-final token
-        assert result.verify_steps == 7
+        assert stats.verify_steps == 7
 
     def test_telemetry_extremes(self, setup, drafts):
         """Oracle accepts everything, adversarial nothing, flaky some."""
@@ -178,35 +186,34 @@ class TestSessionIdentity:
         prompt = np.arange(5) % config.vocab
 
         def run(name):
-            return SpeculativeSession(qmodel, drafts[name], 4).generate(
-                prompt, 12
-            )
+            return speculate(one_slot(qmodel), drafts[name], 4, prompt, 12)
 
-        oracle = run("oracle")
-        assert oracle.acceptance_rate == 1.0
+        oracle, oracle_stats = run("oracle")
+        assert oracle_stats.draft_acceptance_rate == 1.0
         assert oracle.wasted_draft_tokens == 0
-        assert oracle.accepted_per_step > 0
-        adversarial = run("adversarial")
+        assert oracle_stats.accepted_per_verify_step > 0
+        adversarial, adversarial_stats = run("adversarial")
         assert adversarial.drafted_tokens > 0
         assert adversarial.accepted_draft_tokens == 0
-        assert adversarial.acceptance_rate == 0.0
+        assert adversarial_stats.draft_acceptance_rate == 0.0
         assert adversarial.wasted_draft_tokens == adversarial.drafted_tokens
-        flaky = run("flaky")
-        assert 0.0 < flaky.acceptance_rate < 1.0
+        flaky, flaky_stats = run("flaky")
+        assert 0.0 < flaky_stats.draft_acceptance_rate < 1.0
         # fewer accepts means more verify passes, never different tokens
-        assert adversarial.verify_steps > oracle.verify_steps
+        assert adversarial_stats.verify_steps > oracle_stats.verify_steps
         assert np.array_equal(oracle.tokens, adversarial.tokens)
         assert np.array_equal(oracle.tokens, flaky.tokens)
 
     def test_validation(self, setup, drafts):
         _, _, qmodel = setup
+        session = one_slot(qmodel)
         with pytest.raises(ConfigError, match="k must be >= 0"):
-            SpeculativeSession(qmodel, drafts["bigram"], -1)
+            Scheduler(session, speculate=(drafts["bigram"], -1))
         with pytest.raises(ConfigError, match="propose"):
-            SpeculativeSession(qmodel, object(), 2)
-        session = SpeculativeSession(qmodel, drafts["bigram"], 2)
-        with pytest.raises(ConfigError, match="max_new_tokens"):
-            session.generate(np.array([1]), 0)
+            Scheduler(session, speculate=(object(), 2))
+        scheduler = Scheduler(session, speculate=(drafts["bigram"], 2))
+        assert scheduler.run([Request(np.array([1]), 0)]) == []
+        assert scheduler.rejections == [(0, "max_new must be >= 1")]
 
 
 class TestSchedulerSpeculation:
@@ -408,12 +415,12 @@ class TestDrafts:
 
         prompt = np.arange(4) % config.vocab
         with pytest.raises(ConfigError, match="at most"):
-            SpeculativeSession(qmodel, TooMany(), 2).generate(prompt, 6)
+            speculate(one_slot(qmodel), TooMany(), 2, prompt, 6)
         with pytest.raises(ConfigError, match="outside"):
-            SpeculativeSession(qmodel, OutOfVocab(), 2).generate(prompt, 6)
+            speculate(one_slot(qmodel), OutOfVocab(), 2, prompt, 6)
 
     def test_failed_generate_frees_the_slot(self, setup, drafts):
-        """A draft error mid-generate leaves the session reusable."""
+        """A draft error mid-run frees the slot: the session stays usable."""
         config, _, qmodel = setup
 
         class BreaksOnce:
@@ -427,11 +434,13 @@ class TestDrafts:
                     return np.zeros(k + 1, dtype=np.int64)
                 return self.inner.propose(context, k)
 
-        session = SpeculativeSession(qmodel, BreaksOnce(drafts["bigram"]), 2)
+        session = one_slot(qmodel)
+        draft = BreaksOnce(drafts["bigram"])
         prompt = np.arange(4) % config.vocab
         with pytest.raises(ConfigError, match="at most"):
-            session.generate(prompt, 6)
-        result = session.generate(prompt, 6)
+            speculate(session, draft, 2, prompt, 6)
+        assert session.free_slots == 1
+        result, _ = speculate(session, draft, 2, prompt, 6)
         assert list(map(int, result.tokens)) == reference_stream(qmodel, prompt, 6)
 
 
@@ -512,8 +521,8 @@ class TestPhaseTelemetry:
             weights, parse_policy("*=int4@g[8,4]"), config=config
         )
         dummy = BigramDraft(np.zeros(config.vocab, dtype=np.int64))
-        session = SpeculativeSession(qmodel, dummy, 3)
-        session.generate(np.arange(5) % config.vocab, 8)
+        session = one_slot(qmodel)
+        speculate(session, dummy, 3, np.arange(5) % config.vocab, 8)
         plans = session.decoder.plans
         phases = set()
         for plan in plans.values():

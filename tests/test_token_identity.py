@@ -8,8 +8,8 @@ same tokens —
 * ``Scheduler`` replay (continuous batching),
 * chunked prefill (``prefill_chunk``),
 * the radix prefix cache (``prefix_cache``),
-* speculative decoding (``speculate=(draft, k)``, and the
-  single-sequence ``SpeculativeSession``),
+* speculative decoding (``speculate=(draft, k)``, also over a
+  single slot),
 * and any stack of those features.
 
 Batching, chunking, caching and speculation are *scheduling*
@@ -30,7 +30,6 @@ from repro.serve import (
     Request,
     Scheduler,
     SessionDraft,
-    SpeculativeSession,
 )
 
 #: Scheduler configurations under test, as keyword-builder tuples:
@@ -183,16 +182,14 @@ class TestTokenIdentity:
         assert got == reference("bitexact")
 
     def test_speculative_session_matches_generate(self, setup, requests):
-        """The single-sequence speculative API joins the same matrix."""
+        """Speculation over a single slot joins the same matrix."""
         config, _, qmodel = setup
         draft = make_draft("bigram", setup)
-        session = SpeculativeSession(qmodel, draft, 4)
+        session = BatchedSession(qmodel, max_slots=1)
         greedy = [r for r in requests if r.top_k is None]
         expect = reference_streams(qmodel, greedy)
         for request, (tokens, finish) in zip(greedy, expect, strict=False):
-            result = session.generate(
-                request.prompt, request.max_new, eos_token=request.eos_token
-            )
+            [result] = Scheduler(session, speculate=(draft, 4)).run([request])
             assert list(map(int, result.tokens)) == tokens
             assert result.finish_reason == finish
 
