@@ -934,7 +934,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="admission ceiling = KV-cache slots (default: 8)")
     serve_p.add_argument("--capacity", type=int, default=None, metavar="TOK",
                          help="initial per-slot cache capacity (default: "
-                         "max-seq; grows on demand)")
+                         "64, at most max-seq; doubles on demand up to "
+                         "max-seq)")
     serve_p.add_argument("--prompt-len", default="4,24", metavar="LO,HI",
                          help="prompt length range (default: 4,24)")
     serve_p.add_argument("--max-new", default="4,16", metavar="LO,HI",

@@ -5,15 +5,20 @@ Every backend maps ``(activations, GemmPlan)`` to ``[m, n]`` float64:
 * ``reference`` — dequantize-then-matmul baseline (no transformed
   datapath, so no FP16 saturation edge);
 * ``batched`` (:data:`DEFAULT_BACKEND`) — PacQ's transformed-weight
-  datapath, its products gathered from :func:`product_table`;
-* ``bitexact`` — the same datapath, every product evaluated per call
-  by the bit-level parallel multiplier vectorized in :mod:`repro.fp.vec`;
+  datapath, its products read from :func:`product_table` (every FP16
+  input's ``2**bits`` products, built once per process);
+* ``bitexact`` — the same datapath, the products of each call's
+  distinct activations evaluated per call by the bit-level parallel
+  multiplier vectorized in :mod:`repro.fp.vec`;
 * ``bitexact-scalar`` — the original per-element loop over
   :func:`repro.multiplier.parallel.parallel_fp_int_mul`; the
   independent oracle of the other two.
 
-``batched`` and ``bitexact`` differ only in where their products come
-from: both sum them through one contraction, :func:`_contract`.
+``batched`` and ``bitexact`` differ only in the product table they
+hand the compiled kernel: both sum through one contraction,
+:func:`_contract`, which selects each weight's product from its
+activation's table row itself, so no per-call ``[k, m, channels]``
+products array exists.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.engine.native import contract_kernel
 from repro.errors import QuantizationError
 from repro.fp import fp16, vec
 from repro.multiplier.parallel import parallel_fp_int_mul, rebias_offset
@@ -70,39 +74,49 @@ def product_table(bits: int) -> np.ndarray:
     return table
 
 
-def _contract(a16: np.ndarray, products: np.ndarray, plan: GemmPlan) -> np.ndarray:
-    """Group-sum one call's ``[k, m, channels]`` products into ``[m, n]``.
+def _contract(
+    a16: np.ndarray, table: np.ndarray, idx: np.ndarray, plan: GemmPlan
+) -> np.ndarray:
+    """Group-sum the products ``table[idx]`` of one call into ``[m, n]``.
 
-    ``products[k, i, c]`` is the FP16-rounded product of ``a16[i, k]``
-    with transformed weight ``1024 + c``: every product the call needs.
-    The compiled kernel (``contract.c``, built by :mod:`repro.engine.native`)
-    reads the plan's 1-byte :attr:`~repro.engine.plan.GemmPlan.codes`,
-    adds the one selected product per ``(k, n)`` in ascending k from
-    ``0.0``, then applies Eq. (1), adjust and scale and adds the ``gk``
-    groups in index order, in the same loop.  Bit-for-bit equal to
-    ``bitexact-scalar`` at every ``group_k``: the kernel performs the
-    oracle's operations in the oracle's order, sum(A) included, and is
-    compiled without FMA contraction or fast-math.  Only selected
-    products are added, so a saturated ``inf`` never meets ``inf * 0``.
+    ``table[idx[i, k], c]`` is the FP16-rounded product of ``a16[i, k]``
+    with transformed weight ``1024 + c``; ``idx`` is ``[m, k]`` uint16.
+    The compiled kernel (``contract.c``, bound to the plan's operands by
+    :attr:`~repro.engine.plan.GemmPlan.contraction`) gathers each row
+    tile's products from the table itself, reads the plan's 1-byte
+    :attr:`~repro.engine.plan.GemmPlan.codes`, adds the one selected
+    product per ``(k, n)`` in ascending k from ``0.0``, then applies
+    Eq. (1), adjust and scale and adds the ``gk`` groups in index order,
+    in the same loop.  Bit-for-bit equal to ``bitexact-scalar`` at every
+    ``group_k``: the kernel performs the oracle's operations in the
+    oracle's order, sum(A) included, and is compiled without FMA
+    contraction or fast-math.  Only selected products are added, so a
+    saturated ``inf`` never meets ``inf * 0``.
 
     Raises:
         KernelBuildError: the kernel cannot be compiled (first use only).
+        QuantizationError: ``table`` is not C-contiguous float64
+            ``[rows, channels]`` or ``idx`` not C-contiguous uint16
+            shaped like ``a16``: the kernel reads raw addresses.
     """
+    if not (
+        table.dtype == np.float64
+        and table.ndim == 2
+        and table.shape[1] == plan.channels
+        and table.flags.c_contiguous
+        and idx.dtype == np.uint16
+        and idx.shape == a16.shape
+        and idx.flags.c_contiguous
+    ):
+        raise QuantizationError(
+            f"contraction operands do not match the kernel: table "
+            f"{table.dtype}{table.shape}, idx {idx.dtype}{idx.shape}"
+        )
     m = a16.shape[0]
+    a64 = a16.astype(np.float64)
     out = np.empty((m, plan.n_dim))
-    status = contract_kernel()(
-        np.ascontiguousarray(products, dtype=np.float64),
-        np.ascontiguousarray(a16, dtype=np.float64),
-        plan.codes,
-        plan.scale_rows,
-        plan.adjust_rows,
-        plan.offset,
-        m,
-        plan.k_dim,
-        plan.n_dim,
-        plan.channels,
-        plan.group_k,
-        out,
+    status = plan.contraction(
+        table.ctypes.data, idx.ctypes.data, a64.ctypes.data, m, out.ctypes.data
     )
     if status:
         raise MemoryError("the contraction kernel could not allocate its row tiles")
@@ -110,10 +124,9 @@ def _contract(a16: np.ndarray, products: np.ndarray, plan: GemmPlan) -> np.ndarr
 
 
 def execute_batched(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
-    """The contraction over products gathered from :func:`product_table`."""
-    a16 = np.asarray(a, dtype=np.float16)
-    products = np.take(product_table(plan.bits), a16.T.view(np.uint16), axis=0)
-    return _contract(a16, products, plan)
+    """The contraction over :func:`product_table`, indexed by FP16 pattern."""
+    a16 = np.ascontiguousarray(a, dtype=np.float16)
+    return _contract(a16, product_table(plan.bits), a16.view(np.uint16), plan)
 
 
 def _check_pack_alignment(plan: GemmPlan) -> None:
@@ -127,18 +140,22 @@ def _check_pack_alignment(plan: GemmPlan) -> None:
 def execute_bitexact(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
     """The contraction over products from the bit-level multiplier.
 
-    All ``2**bits`` lanes of every activation go through
-    :func:`repro.fp.vec.parallel_products` per call, so every product's
-    bits come from a datapath evaluation, not from a table.
+    All ``2**bits`` lanes of every distinct activation pattern in the
+    call go through :func:`repro.fp.vec.parallel_products`, so every
+    product's bits come from a datapath evaluation, not from a table
+    built ahead of time; the kernel indexes that ``[unique, channels]``
+    table by each activation's position among the unique patterns.
     """
-    a16 = np.asarray(a, dtype=np.float16)
+    a16 = np.ascontiguousarray(a, dtype=np.float16)
     _check_pack_alignment(plan)
-    a_bits = vec.from_float(a16.astype(np.float64)).T  # [k, m] raw patterns
+    patterns, inverse = np.unique(a16.view(np.uint16).ravel(), return_inverse=True)
     all_codes = np.arange(plan.channels, dtype=np.int64) - rebias_offset(plan.bits)
-    products = vec.to_float(
-        vec.parallel_products(a_bits[:, :, None], all_codes[None, None, :], plan.bits)
+    table = vec.to_float(
+        vec.parallel_products(patterns[:, None], all_codes[None, :], plan.bits)
     )
-    return _contract(a16, products, plan)
+    # At most 65,536 distinct patterns, so every position fits in uint16.
+    idx = inverse.astype(np.uint16).reshape(a16.shape)
+    return _contract(a16, table, idx, plan)
 
 
 def execute_bitexact_scalar(a: np.ndarray, plan: GemmPlan) -> np.ndarray:

@@ -20,8 +20,6 @@ import platform
 import subprocess
 import tempfile
 
-import numpy as np
-
 from repro.errors import KernelBuildError
 
 #: The system C compiler.
@@ -88,8 +86,10 @@ def contract_kernel():
         fn = ctypes.CDLL(str(path)).pacq_contract
     except (OSError, AttributeError) as exc:
         raise KernelBuildError(f"cannot load {path}: {exc}") from None
-    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    u8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
-    fn.argtypes = [f64, f64, u8, f64, f64, ctypes.c_double, *[ctypes.c_int64] * 5, f64]
+    # Raw addresses: the caller passes C-contiguous arrays of the types
+    # ``contract.c`` declares and keeps them alive across the call.
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    fn.argtypes = [ptr, ptr, ptr, ctypes.c_double, i64, i64, i64, i64,
+                   ptr, ptr, ptr, i64, ptr]
     fn.restype = ctypes.c_int
     return fn

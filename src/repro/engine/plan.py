@@ -12,7 +12,6 @@ hot loop only executes.
 
 Precomputed (eagerly, at plan time):
 
-* ``signed`` — int16 signed codes (the representation PacQ packs);
 * ``unsigned`` — the re-biased codes, each weight's channel index;
 * ``adjust`` / ``adjust_rows`` — the folded ``rebias - zero`` group
   adjustment, as a ``[gk, gn]`` grid and expanded to ``[gk, n]`` rows;
@@ -20,9 +19,15 @@ Precomputed (eagerly, at plan time):
 
 Computed lazily (first use, then cached on the plan):
 
+* ``signed`` — int16 signed codes (the representation PacQ packs),
+  read only by ``reference``, ``bitexact-scalar`` and packing;
 * ``codes`` — the ``[n, k]`` uint8 channel codes the compiled
   contraction of ``batched`` and ``bitexact`` reads (1 B per weight);
-  the products they select come from the backend, not from the plan;
+  the product table they select from comes from the backend, not from
+  the plan;
+* ``contraction`` — that compiled kernel with the plan's codes,
+  scale/adjust rows and dimensions bound, so a call passes only its
+  own activations, product table and output;
 * ``w16`` — FP16-rounded dequantized weights (the ``reference``
   backend's operand);
 * ``packed`` — the ``P(Bx)n`` packed storage layout.
@@ -34,11 +39,13 @@ extend weight lifetimes; :func:`plan_gemm` memoizes one plan per live
 
 from __future__ import annotations
 
+import functools
 import weakref
 
 import numpy as np
 
 from repro.engine.backends import DEFAULT_BACKEND, get_backend
+from repro.engine.native import contract_kernel
 from repro.errors import QuantizationError
 from repro.multiplier.parallel import rebias_offset, transform_offset
 from repro.quant.groups import GroupSpec
@@ -74,10 +81,9 @@ class GemmPlan:
         #: Distinct transformed-weight values: 16 for INT4, 4 for INT2.
         self.channels: int = 1 << qm.bits
 
-        self.signed: np.ndarray = qm.signed_codes()
         #: Unsigned (re-biased) codes, the channel index of each weight.
         self.unsigned: np.ndarray = (
-            self.signed + rebias_offset(qm.bits)
+            qm.signed_codes() + rebias_offset(qm.bits)
         ).astype(np.uint8)
         self.scales: np.ndarray = qm.scales
         self.zeros: np.ndarray = qm.zeros
@@ -95,9 +101,11 @@ class GemmPlan:
         ).astype(np.float64, copy=False)
 
         self._qm_ref = weakref.ref(qm)
+        self._signed: np.ndarray | None = None
         self._w16: np.ndarray | None = None
         self._packed = None
         self._codes: np.ndarray | None = None
+        self._contraction: functools.partial | None = None
         #: Executions per activation row count ``m``.  Nothing in the
         #: plan depends on ``m``, so one plan serves every batch size;
         #: a serving workload whose batch grows and shrinks as requests
@@ -113,6 +121,18 @@ class GemmPlan:
         self.phase_executions: dict[tuple[str, int], int] = {}
 
     # -- lazily derived state ------------------------------------------------
+
+    @property
+    def signed(self) -> np.ndarray:
+        """int16 signed codes, ``[k, n]``: the representation PacQ packs.
+
+        ``qm.signed_codes()``, derived from :attr:`unsigned` on first use
+        (the ``reference``, ``bitexact-scalar`` and packing paths) and
+        cached; the contraction never reads them.
+        """
+        if self._signed is None:
+            self._signed = self.unsigned.astype(np.int16) - rebias_offset(self.bits)
+        return self._signed
 
     @property
     def w16(self) -> np.ndarray:
@@ -135,14 +155,43 @@ class GemmPlan:
         """Channel codes of the shared contraction, ``[n, k]`` uint8.
 
         ``codes[j, k] == unsigned[k, j]``: weight ``[k, j]``'s channel,
-        the lane of its activation's products that the contraction adds.
-        One byte per weight, stored so each output column reads its
-        codes in ascending k; built lazily on the first ``batched`` or
-        ``bitexact`` execution and cached on the plan.
+        the column of its activation's product-table row that the
+        contraction adds.  One byte per weight, stored so each output
+        column reads its codes in ascending k; built lazily on the first
+        ``batched`` or ``bitexact`` execution and cached on the plan.
         """
         if self._codes is None:
             self._codes = np.ascontiguousarray(self.unsigned.T)
         return self._codes
+
+    @property
+    def contraction(self) -> functools.partial:
+        """The compiled contraction with this plan's operands bound.
+
+        Call it as ``contraction(table, idx, a, m, out)`` with the
+        addresses of a C-contiguous float64 ``[rows, channels]`` product
+        table, uint16 ``[m, k]`` table-row indices, float64 ``[m, k]``
+        FP16 activations and a float64 ``[m, n]`` output; it returns
+        the kernel's status (0 on success).  The addresses of
+        :attr:`codes`, ``scale_rows`` and ``adjust_rows`` are bound on
+        first use, and the plan keeps those arrays alive.
+
+        Raises:
+            KernelBuildError: the kernel cannot be compiled.
+        """
+        if self._contraction is None:
+            self._contraction = functools.partial(
+                contract_kernel(),
+                self.codes.ctypes.data,
+                self.scale_rows.ctypes.data,
+                self.adjust_rows.ctypes.data,
+                self.offset,
+                self.k_dim,
+                self.n_dim,
+                self.channels,
+                self.group_k,
+            )
+        return self._contraction
 
     @property
     def packed(self):

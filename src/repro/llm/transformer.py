@@ -197,6 +197,13 @@ def _rope(x: np.ndarray, offset: int = 0) -> np.ndarray:
     return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
 
 
+#: Per-slot token capacity a :class:`BatchedKVCache` starts at when no
+#: ``capacity`` is given (clipped to ``max_seq``); :meth:`BatchedKVCache.ensure`
+#: doubles it on demand, so a pool pays only for the longest sequence
+#: it actually holds.
+INITIAL_CAPACITY = 64
+
+
 class BatchedKVCache:
     """A preallocated pool of per-sequence KV caches ("slots").
 
@@ -211,8 +218,9 @@ class BatchedKVCache:
       the eviction primitive: the slot's tokens are dropped and the
       slot is immediately reusable).  The buffers exist only while a
       slot is allocated: the first allocation creates them at the
-      initial capacity and releasing the last slot drops them, so an
-      idle pool holds no KV memory (:attr:`nbytes`);
+      initial capacity (``capacity``, else :data:`INITIAL_CAPACITY`
+      tokens clipped to ``config.max_seq``) and releasing the last slot
+      drops them, so an idle pool holds no KV memory (:attr:`nbytes`);
     * :meth:`ensure` — grow the shared ``capacity`` axis (doubling,
       capped at ``config.max_seq``) when a sequence is about to
       outrun it;
@@ -237,7 +245,9 @@ class BatchedKVCache:
             raise ConfigError("a batched cache needs at least one slot")
         self.config = config
         self.max_slots = max_slots
-        self.capacity = config.max_seq if capacity is None else capacity
+        if capacity is None:
+            capacity = min(INITIAL_CAPACITY, config.max_seq)
+        self.capacity = capacity
         if not 1 <= self.capacity <= config.max_seq:
             raise ConfigError(
                 f"cache capacity must lie in [1, max_seq={config.max_seq}], "

@@ -14,13 +14,13 @@ A checkpoint is a directory:
 * ``weights.npz`` — the non-quantized parameters a serving session
   needs: embedding, norms, and the float64 masters of FP16-kept
   layers.  Masters of *quantized* layers are intentionally not
-  persisted (that is the point of quantizing); on load they are
-  reconstructed as dequantized stand-ins, which the decoder never
-  reads because those layers execute through their plans.
+  persisted (that is the point of quantizing), and a loaded model holds
+  none, as :func:`~repro.model.policy.quantize_model` keeps none: those
+  layers execute through their plans.
 
 A save → load round trip reproduces bit-identical generation: codes,
-scales, zeros, embedding and norms all round-trip exactly through
-``.npz``; only the discarded float64 masters differ.
+scales, zeros, embedding, norms and kept masters all round-trip
+exactly through ``.npz``.
 """
 
 from __future__ import annotations
@@ -185,14 +185,9 @@ def _rebuild_weights(
             block: dict[str, np.ndarray] = {}
             for short in _layer_shapes(config):
                 name = f"layer{i}.{short}"
-                if name in layers:
-                    # Dequantized stand-in: never read by the decoder
-                    # (the layer executes through its plan), present so
-                    # DecoderWeights stays structurally complete.
-                    block[short] = layers[name].matrix.dequantize()
-                elif name in kept:
+                if name in kept:
                     block[short] = data[f"master.{name}"]
-                else:
+                elif name not in layers:
                     raise QuantizationError(
                         f"manifest names neither a quantized layer nor a "
                         f"kept master for {name}"

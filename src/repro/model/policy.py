@@ -258,8 +258,11 @@ class QuantizedModel:
         config: decoder dimensions when the weights came from a
             :class:`~repro.llm.transformer.DecoderWeights` model
             (``None`` for raw matrix mappings).
-        weights: the source weights (embedding, norms and FP16-kept
-            masters; required to build an inference session).
+        weights: what a session reads of the source weights: the
+            embedding, norms and FP16-kept masters, in a new
+            ``DecoderWeights`` whose blocks hold only the
+            ``kept_fp16`` layers (required to build an inference
+            session).
         kept_fp16: layer names no rule quantized (served via the
             FP16-rounded reference fallback).
     """
@@ -396,6 +399,28 @@ def quantize_model(
         layers=layers,
         policy=policy,
         config=config,
-        weights=weights if isinstance(weights, DecoderWeights) else None,
+        weights=_kept_weights(weights, kept),
         kept_fp16=tuple(kept),
+    )
+
+
+def _kept_weights(
+    weights: DecoderWeights | Mapping[str, np.ndarray], kept: list[str]
+) -> DecoderWeights | None:
+    """The parameters a session reads: all but the quantized masters.
+
+    A new :class:`~repro.llm.transformer.DecoderWeights` sharing the
+    caller's embedding, norms and FP16-kept masters; the float64 master
+    of every quantized layer is left out (its plan serves it), so the
+    model does not hold it alive.  ``None`` for a raw matrix mapping.
+    """
+    if not isinstance(weights, DecoderWeights):
+        return None
+    names = set(kept)
+    blocks = [
+        {short: w for short, w in block.items() if f"layer{i}.{short}" in names}
+        for i, block in enumerate(weights.blocks)
+    ]
+    return DecoderWeights(
+        weights.embedding, blocks, weights.final_norm, list(weights.norms)
     )

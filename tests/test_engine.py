@@ -100,6 +100,19 @@ class TestPlanState:
             expected = qm.dequantize().astype(np.float16).astype(np.float64)
             assert np.array_equal(plan.w16, expected)
 
+    @pytest.mark.parametrize("bits", [4, 2])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_signed_codes_derived_on_first_use(self, bits, symmetric):
+        _, qm = _setup(bits=bits, symmetric=symmetric)
+        plan = GemmPlan(qm)
+        assert plan._signed is None  # the contraction never needs them
+        plan.execute(np.ones((2, 32)), backend="batched")
+        assert plan._signed is None
+        expected = qm.signed_codes()
+        assert plan.signed.dtype == expected.dtype
+        assert np.array_equal(plan.signed, expected)
+        assert plan.signed is plan.signed
+
     def test_packed_layout_is_pacq_convention(self):
         _, qm = _setup()
         packed = plan_gemm(qm).packed
@@ -350,19 +363,23 @@ class TestFastPath:
             raise AssertionError("fell off the fast path")
 
         monkeypatch.setattr(backends, "parallel_fp_int_mul", slow_path)
+        # The kernel gathers its own products: a Python-side gather of a
+        # [k, m, channels] products array fails here.
+        monkeypatch.setattr(np, "take", slow_path)
         rng = np.random.default_rng(0)
         for k, n in ((256, 1024), (1024, 256)):
             qm = quantize_rtn(rng.normal(size=(k, n)), bits=4, group=GroupSpec(32, 4))
             plan = GemmPlan(qm)  # uncached: inspect this plan's lazy state
             assert plan._codes is None
             plan.execute(rng.normal(size=(1, k)), backend="batched")
-            codes = plan._codes
-            assert codes is not None
+            codes, contraction = plan._codes, plan._contraction
+            assert codes is not None and contraction is not None
             for m in (6, 48):
                 plan.execute(rng.normal(size=(m, k)), backend="batched")
             plan.execute(rng.normal(size=(2, k)), backend="bitexact")
             plan.execute(rng.normal(size=(1, k)), backend="batched")
             assert plan._codes is codes  # built once, not per call
+            assert plan._contraction is contraction  # bound once
 
 
 def _assert_same_bits(ours, oracle):
@@ -374,7 +391,8 @@ def _assert_same_bits(ours, oracle):
 class TestKernel:
     """The compiled contraction: row tiles, column blocks, build path."""
 
-    #: Every row-tile boundary of the 8/4/2/1 tiling, and two prefill sizes.
+    #: Every leftover-row count after the full 8-row tiles (exact 1- and
+    #: 2-row tiles, padded 4- and 8-row tiles), and two prefill sizes.
     ROWS = (*range(1, 18), 40, 64)
 
     @pytest.mark.parametrize("k,n", [(256, 1024), (1024, 256), (256, 256)])
@@ -399,6 +417,73 @@ class TestKernel:
                 batched = plan.execute(a[:m], backend="batched")
                 _assert_same_bits(batched[:, -4:], oracle[:m])
                 _assert_same_bits(plan.execute(a[:m], backend="bitexact"), batched)
+
+    def test_bitexact_unique_pattern_table_matches_batched(self, monkeypatch):
+        """``bitexact`` evaluates each distinct pattern once; equals ``batched``.
+
+        The activations repeat six values, so the call's table of unique
+        patterns has at most six rows, against ``m * k`` activations,
+        and its row 0 (the smallest pattern, a negative value) is not
+        zero.  Every ``m`` must still equal ``batched`` bit for bit.
+        """
+        rng = np.random.default_rng(3)
+        k, n = 256, 64
+        w = rng.normal(size=(k, n))
+        plan = GemmPlan(quantize_rtn(w, bits=4, group=GroupSpec(32, 4)))
+        values = np.array([-3.5, -0.25, 0.0, 0.125, 1.0, 7.75])
+        a = rng.choice(values, size=(max(self.ROWS), k))
+        evaluated = []
+        products = vec.parallel_products
+
+        def counting(a_bits, codes, bits):
+            evaluated.append(np.asarray(a_bits).size)
+            return products(a_bits, codes, bits)
+
+        monkeypatch.setattr(backends.vec, "parallel_products", counting)
+        for m in self.ROWS:
+            bitexact = plan.execute(a[:m], backend="bitexact")
+            distinct = np.unique(a[:m].astype(np.float16).view(np.uint16)).size
+            assert evaluated.pop() == distinct
+            _assert_same_bits(bitexact, plan.execute(a[:m], backend="batched"))
+
+    @pytest.mark.parametrize("m", [3, 5, 7])
+    def test_special_patterns_in_padded_tile_match_scalar_oracle(self, m):
+        """Infinities, NaNs, -0.0 and 65504 in the last row of a padded tile.
+
+        m = 3, 5 and 7 each end in a padded tile (4, 8 and 8 lanes), so
+        the special row sits beside padding lanes; ``batched`` and
+        ``bitexact`` must give the oracle's bits, NaN positions included.
+        """
+        rng = np.random.default_rng(m)
+        w = rng.normal(size=(32, 8))
+        plan = GemmPlan(quantize_rtn(w, bits=4, group=GroupSpec(8, 4)))
+        a16 = rng.normal(size=(m, 32)).astype(np.float16)
+        special = np.array([0x7C00, 0xFC00, 0x7E00, 0xFFFF, 0x8000, 0x7BFF], np.uint16)
+        assert special.view(np.float16)[-1] == 65504
+        # Spread over all four k-groups of the last row.
+        a16[-1, [0, 7, 8, 15, 23, 31]] = special.view(np.float16)
+        with np.errstate(all="ignore"):
+            oracle = plan.execute(a16, backend="bitexact-scalar")
+            assert np.isnan(oracle[-1]).any() and np.isfinite(oracle[:-1]).all()
+            for name in ("batched", "bitexact"):
+                _assert_same_bits(plan.execute(a16, backend=name), oracle)
+
+    def test_operands_checked_before_the_foreign_call(self):
+        _, qm = _setup()
+        plan = GemmPlan(qm)
+        a16 = np.ones((2, 32), dtype=np.float16)
+        table = backends.product_table(4)
+        bad = [
+            (table.astype(np.float32), a16.view(np.uint16)),
+            (table[:, :8], a16.view(np.uint16)),
+            (table, a16.view(np.uint16).astype(np.int64)),
+            (table, a16.view(np.uint16)[:1]),
+            (table, np.asfortranarray(a16.view(np.uint16))),
+        ]
+        for operands in bad:
+            with pytest.raises(QuantizationError, match="do not match the kernel"):
+                backends._contract(a16, *operands, plan)
+        assert plan._contraction is None  # rejected before binding the kernel
 
     def test_partial_column_block_matches_scalar_oracle(self):
         # n = 6 leaves a 2-column remainder after one 4-column block; the

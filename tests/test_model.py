@@ -23,7 +23,7 @@ from repro.model import (
 from repro.model.checkpoint import MANIFEST_NAME
 from repro.quant.groups import GroupSpec
 from repro.quant.rtn import quantize_rtn
-from repro.serve import BatchedSession, SessionDraft
+from repro.serve import BatchedSession, Request, Scheduler, SessionDraft
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +276,31 @@ class TestCheckpoint:
         ra = a.generate(prompt, 12, top_k=6, seed=11)
         rb = b.generate(prompt, 12, top_k=6, seed=11)
         assert np.array_equal(ra.tokens, rb.tokens)
+
+    def test_blocks_hold_only_kept_masters(self, saved):
+        """Quantized layers' float64 masters are not kept, nor reloaded."""
+        _, weights, model, path = saved
+        assert model.kept_fp16 == ("layer1.wo",)
+        for qmodel in (model, load_model(path)):
+            held = {name for name, _ in qmodel.weights.linear_matrices()}
+            assert held == {"layer1.wo"}
+            assert qmodel.weights is not weights
+        # The caller's weights are not mutated.
+        assert len(weights.linear_matrices()) == 2 * 7
+
+    def test_saved_and_reloaded_models_serve_identical_streams(self, saved):
+        _, _, model, path = saved
+        prompts = [np.asarray([1, 5, 9]), np.asarray([7, 2]), np.arange(6)]
+        requests = [
+            Request(prompt=p, max_new=8, top_k=None if i % 2 else 5, seed=i)
+            for i, p in enumerate(prompts)
+        ]
+        streams = []
+        for qmodel in (model, load_model(path)):
+            scheduler = Scheduler(BatchedSession(qmodel, max_slots=2), max_batch=2)
+            streams.append([r.tokens for r in scheduler.run(requests)])
+        for ours, reloaded in zip(*streams, strict=True):
+            assert np.array_equal(ours, reloaded)
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(QuantizationError):

@@ -6,6 +6,7 @@ import pytest
 from repro.engine import DEFAULT_BACKEND
 from repro.errors import ConfigError, RequestError
 from repro.llm.transformer import (
+    INITIAL_CAPACITY,
     BatchedKVCache,
     Decoder,
     TransformerConfig,
@@ -14,6 +15,7 @@ from repro.llm.transformer import (
 from repro.model import InferenceSession, parse_policy, quantize_model
 from repro.serve import (
     BatchedSession,
+    RadixPrefixCache,
     Request,
     Scheduler,
     TraceSpec,
@@ -289,6 +291,73 @@ class TestKVFootprint:
                     seed=request.seed,
                 )
                 assert np.array_equal(result.tokens, solo.tokens)
+
+
+    def test_default_pool_grows_past_its_start(self):
+        """A pool built without ``capacity`` starts small and doubles.
+
+        The model's window is four times :data:`INITIAL_CAPACITY`.  Wave
+        one's prompt fits the initial capacity, so the pool grows while
+        decoding; wave two ingests a longer prompt into the prefix
+        cache; wave three, on a pool rebuilt at the initial capacity
+        after the drain, is seeded with that prefix by ``copy_into``,
+        which grows it.  Every stream equals solo ``generate``.
+        """
+        config = TransformerConfig(
+            vocab=64,
+            d_model=32,
+            n_heads=2,
+            n_layers=1,
+            d_ffn=64,
+            max_seq=4 * INITIAL_CAPACITY,
+        )
+        weights = init_weights(config, seed=2)
+        qmodel = quantize_model(
+            weights, parse_policy("*=int4@g[8,4]"), config=config
+        )
+        session = BatchedSession(
+            qmodel, max_slots=2, prefix_cache=RadixPrefixCache(1 << 22)
+        )
+        cache = session.cache
+        assert cache.capacity == INITIAL_CAPACITY
+        grown = []  # (where, capacity before, capacity after)
+        for name in ("copy_into", "decode_step"):
+            owner = cache if name == "copy_into" else session
+            inner = getattr(owner, name)
+
+            def spy(*args, _inner=inner, _name=name):
+                before = cache.capacity
+                out = _inner(*args)
+                if cache.capacity != before:
+                    grown.append((_name, before, cache.capacity))
+                return out
+
+            setattr(owner, name, spy)
+        rng = np.random.default_rng(4)
+        long_prompt = rng.integers(0, config.vocab, size=INITIAL_CAPACITY + 8)
+        waves = [
+            [Request(prompt=long_prompt[: INITIAL_CAPACITY - 4], max_new=10)],
+            [Request(prompt=long_prompt, max_new=3, top_k=4, seed=1)],
+            [Request(prompt=np.concatenate([long_prompt, [5, 6]]), max_new=4)],
+        ]
+        scheduler = Scheduler(session, max_batch=2)
+        for wave, requests in enumerate(waves):
+            results = scheduler.run(requests)[wave:]  # cumulative
+            assert cache.nbytes == 0  # drained: the next wave starts small
+            for request, result in zip(requests, results, strict=True):
+                solo = InferenceSession(qmodel).generate(
+                    request.prompt,
+                    request.max_new,
+                    top_k=request.top_k,
+                    seed=request.seed,
+                )
+                assert np.array_equal(result.tokens, solo.tokens)
+        start, doubled = INITIAL_CAPACITY, 2 * INITIAL_CAPACITY
+        assert grown == [
+            ("decode_step", start, doubled),
+            ("copy_into", start, doubled),
+        ]
+        assert session.prefix_cache.stats().hit_tokens > INITIAL_CAPACITY
 
 
 class TestScheduler:
