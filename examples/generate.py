@@ -13,7 +13,7 @@ The model layer (:mod:`repro.model`) in one script:
 4. print the session's per-layer GEMM telemetry and price one layer's
    aggregate GEMM on the PacQ cost model.
 
-Run: ``python examples/generate.py [--quick] [--backend bitexact]``
+Run: ``python examples/generate.py [--quick] [--backend reference]``
 (``--quick`` shrinks the model and generation length for CI).
 """
 

@@ -10,10 +10,10 @@ then measures perplexity with the LM head:
   with every logits GEMM routed through the execution engine — i.e.
   the actual PacQ compute path with its transformed-weight products.
   The head is planned once per geometry and executed per batch;
-  ``--backend`` picks the execution strategy between ``batched`` (the
-  default) and the bit-level oracle ``bitexact`` (bit-identical by
-  contract, so the table does not depend on the choice; ``reference``
-  would skip the transformed datapath, so it is not offered here).
+  ``--backend`` picks between ``batched`` (the default, PacQ's
+  transformed-weight datapath) and ``reference`` (the
+  dequantize-then-matmul baseline, which skips the FP16 rounding of the
+  transformed products, so its perplexities differ by a few percent).
 
 The paper's claim to observe: ``g[32,4]`` (PacQ-friendly, one scale
 fetch per packed word) is iso-perplexity with the conventional
@@ -35,10 +35,11 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--backend",
-        choices=("batched", "bitexact"),
+        choices=("batched", "reference"),
         default=DEFAULT_BACKEND,
-        help="GEMM engine backend for the quantized logits GEMMs "
-        "(bit-identical choices; default: %(default)s)",
+        help="GEMM engine backend for the quantized logits GEMMs: PacQ's "
+        "transformed datapath or the dequantize-then-matmul baseline "
+        "(default: %(default)s)",
     )
     args = parser.parse_args()
 

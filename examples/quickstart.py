@@ -11,7 +11,7 @@ Walks the full PacQ story on one layer:
 4. simulate the same GEMM on the three architectures and report
    speedup and EDP.
 
-Run: ``python examples/quickstart.py [--backend {batched,bitexact,...}]``
+Run: ``python examples/quickstart.py [--backend {batched,reference,...}]``
 """
 
 import argparse
@@ -38,8 +38,8 @@ def main() -> None:
         choices=backend_names(),
         default=DEFAULT_BACKEND,
         help="GEMM engine backend to execute through (default: %(default)s; "
-        "the vectorized bitexact validator handles this size in "
-        "milliseconds — only bitexact-scalar still takes minutes)",
+        "the per-element bitexact-scalar oracle takes seconds at this size, "
+        "batched milliseconds)",
     )
     args = parser.parse_args()
 

@@ -39,7 +39,7 @@ def main() -> None:
     #    show grid axes only apply where a runner accepts them.
     spec = SweepSpec.make(
         ["table2", "fig9"],
-        grid={"backend": ["batched", "bitexact"], "spec": ["g128", "g[32,4]"]},
+        grid={"backend": ["batched", "reference"], "spec": ["g128", "g[32,4]"]},
         base={"vocab": 64, "d_model": 256, "corpus_len": 128},
     )
     jobs = spec.jobs()

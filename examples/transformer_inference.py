@@ -8,7 +8,7 @@ then prices all of the decoder's GEMMs on PacQ vs the standard
 dequantization flow — the full deployment story of the paper in one
 script.
 
-Run: ``python examples/transformer_inference.py [--backend bitexact]``
+Run: ``python examples/transformer_inference.py [--backend reference]``
 """
 
 import argparse
@@ -34,10 +34,11 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--backend",
-        choices=("batched", "bitexact"),
+        choices=("batched", "reference"),
         default=DEFAULT_BACKEND,
-        help="engine backend for the quantized linears "
-        "(bit-identical choices; default: %(default)s)",
+        help="engine backend for the quantized linears: PacQ's "
+        "transformed datapath or the dequantize-then-matmul baseline "
+        "(default: %(default)s)",
     )
     args = parser.parse_args()
 

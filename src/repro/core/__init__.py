@@ -41,12 +41,6 @@ from repro.core.metrics import (
     speedup,
     throughput_per_watt,
 )
-from repro.core.modelreport import (
-    LayerReport,
-    ModelReport,
-    compare_models,
-    evaluate_model,
-)
 from repro.core.report import render_table
 from repro.core.roofline import (
     MachineRoofline,
@@ -63,7 +57,6 @@ from repro.core.workloads import (
     batch_sweep,
     fig10_workload,
     microbench_workload,
-    model_workloads,
 )
 
 __all__ = [
@@ -74,11 +67,7 @@ __all__ = [
     "ExperimentResult",
     "LLAMA2_13B",
     "LLAMA2_7B",
-    "LayerReport",
     "LlmSpec",
-    "ModelReport",
-    "compare_models",
-    "evaluate_model",
     "MachineRoofline",
     "OPT_6_7B",
     "ResultRow",
@@ -101,7 +90,6 @@ __all__ = [
     "fig9",
     "hyper_gemm",
     "microbench_workload",
-    "model_workloads",
     "normalized_edp",
     "pack_for_flow",
     "packed_k_baseline",

@@ -408,8 +408,8 @@ def table2(
     Llama2-7B/WikiText-2 numbers by construction.
 
     ``backend`` selects the engine backend the quantized GEMMs execute
-    through (CLI ``--backend``); ``batched`` and ``bitexact`` produce
-    bit-identical perplexities.  ``spec`` restricts the run to one
+    through (CLI ``--backend``); ``batched`` and ``bitexact-scalar``
+    produce bit-identical perplexities.  ``spec`` restricts the run to one
     group geometry by its paper label (``"g128"``, ``"g[32,4]"``, ...)
     — a harness sweep axis.  ``policy`` replaces the stock RTN-INT4
     rows with one row quantized under a model-level policy recipe

@@ -36,17 +36,14 @@ execute many times.  Backends:
   wide accumulation (tensor-core FP32-accumulate behaviour), gathered
   from a table of every FP16 input's products and group-summed by the
   engine's compiled contraction; use for real workloads;
-* ``"bitexact"`` — every product goes through the bit-level parallel
-  multiplier of :mod:`repro.multiplier.parallel`, vectorized; the
-  datapath oracle;
-* ``"bitexact-scalar"`` — the same multiplier, one scalar call per
-  product; the independent oracle of both, for tiny matrices only;
+* ``"bitexact-scalar"`` — every product goes through the bit-level
+  parallel multiplier of :mod:`repro.multiplier.parallel`, one scalar
+  call per product; the independent oracle, for tiny matrices only;
 * ``"reference"`` — the dequantize-then-matmul baseline flow
   (equivalent to :func:`dequant_reference`).
 
-``"batched"`` and ``"bitexact"`` share one contraction and agree
-bit-for-bit with ``"bitexact-scalar"`` (asserted across random group
-specs in the tests).
+``"batched"`` agrees bit-for-bit with ``"bitexact-scalar"`` (asserted
+across random group specs in the tests).
 
 Numerics note: each product is the FP16 rounding of
 ``A * (B + 1032)`` — bit-identical to multiplying by the transformed
@@ -107,8 +104,8 @@ def hyper_gemm(
     Args:
         a: ``[m, k]`` activations (rounded to FP16 on entry).
         qm: group-quantized ``[k, n]`` weights (INT4 or INT2).
-        mode: a backend name — ``"batched"``, ``"bitexact"``,
-            ``"bitexact-scalar"`` or ``"reference"``.
+        mode: a backend name — ``"batched"``, ``"bitexact-scalar"`` or
+            ``"reference"``.
 
     Returns:
         ``[m, n]`` float64 outputs (FP32-accumulate semantics).

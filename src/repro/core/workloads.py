@@ -68,8 +68,3 @@ def microbench_workload() -> GemmShape:
 def batch_sweep(base: GemmShape, batches: list[int]) -> list[GemmShape]:
     """The same layer at several batch sizes (single-batch -> serving)."""
     return [GemmShape(b, base.n, base.k) for b in batches]
-
-
-def model_workloads(spec: LlmSpec, batch: int = 16) -> list[tuple[str, GemmShape]]:
-    """All distinct GEMMs of one model at a batch size."""
-    return spec.layer_gemms(batch)

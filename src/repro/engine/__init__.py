@@ -18,15 +18,13 @@ name            strategy                                         transformed
 =============== ================================================ ===========
 reference       dequantize to FP16, then matmul (baseline flow)  no
 batched         compiled contraction over a product table        yes
-bitexact        vectorized bit-level multiplier (the oracle)     yes
-bitexact-scalar per-element bit-level multiplier (slow oracle)   yes
+bitexact-scalar per-element bit-level multiplier (the oracle)    yes
 =============== ================================================ ===========
 
-``batched`` (the default), ``bitexact`` and ``bitexact-scalar`` are
-bit-identical: ``batched`` and ``bitexact`` share one contraction, a C
-kernel (``contract.c``) that :mod:`repro.engine.native` compiles on
-first use, and differ only in where their products come from (a table
-built once, or the datapath evaluated per call).
+``batched`` (the default) and ``bitexact-scalar`` are bit-identical:
+``batched`` sums through one contraction, a C kernel (``contract.c``)
+that :mod:`repro.engine.native` compiles on first use, over a table of
+every FP16 input's products built once per process.
 
 Typical use::
 

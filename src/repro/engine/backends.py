@@ -1,24 +1,24 @@
-"""The GEMM engine's backend table: four ways to execute one plan.
+"""The GEMM engine's backend table: three ways to execute one plan.
 
 Every backend maps ``(activations, GemmPlan)`` to ``[m, n]`` float64:
 
 * ``reference`` — dequantize-then-matmul baseline (no transformed
   datapath, so no FP16 saturation edge);
 * ``batched`` (:data:`DEFAULT_BACKEND`) — PacQ's transformed-weight
-  datapath, its products read from :func:`product_table` (every FP16
-  input's ``2**bits`` products, built once per process);
-* ``bitexact`` — the same datapath, the products of each call's
-  distinct activations evaluated per call by the bit-level parallel
-  multiplier vectorized in :mod:`repro.fp.vec`;
+  datapath: one compiled contraction, :func:`_contract`, which selects
+  each weight's product from its activation's row of
+  :func:`product_table` (every FP16 input's ``2**bits`` products,
+  built once per process), so no per-call ``[k, m, channels]``
+  products array exists;
 * ``bitexact-scalar`` — the original per-element loop over
   :func:`repro.multiplier.parallel.parallel_fp_int_mul`; the
-  independent oracle of the other two.
+  independent oracle of ``batched``.
 
-``batched`` and ``bitexact`` differ only in the product table they
-hand the compiled kernel: both sum through one contraction,
-:func:`_contract`, which selects each weight's product from its
-activation's table row itself, so no per-call ``[k, m, channels]``
-products array exists.
+The oracle chain that makes ``batched`` exact: its outputs equal
+``bitexact-scalar``'s, its table equals :func:`repro.fp.vec.parallel_products`
+for every FP16 input, the vectorized datapath equals the scalar
+parallel multiplier, and that equals ``fp16_mul`` of the transformed
+weight.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.errors import QuantizationError
-from repro.fp import fp16, vec
-from repro.multiplier.parallel import parallel_fp_int_mul, rebias_offset
+from repro.fp import fp16
+from repro.multiplier.parallel import parallel_fp_int_mul
 
 if TYPE_CHECKING:
     from repro.engine.plan import GemmPlan
@@ -137,32 +137,11 @@ def _check_pack_alignment(plan: GemmPlan) -> None:
         )
 
 
-def execute_bitexact(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
-    """The contraction over products from the bit-level multiplier.
-
-    All ``2**bits`` lanes of every distinct activation pattern in the
-    call go through :func:`repro.fp.vec.parallel_products`, so every
-    product's bits come from a datapath evaluation, not from a table
-    built ahead of time; the kernel indexes that ``[unique, channels]``
-    table by each activation's position among the unique patterns.
-    """
-    a16 = np.ascontiguousarray(a, dtype=np.float16)
-    _check_pack_alignment(plan)
-    patterns, inverse = np.unique(a16.view(np.uint16).ravel(), return_inverse=True)
-    all_codes = np.arange(plan.channels, dtype=np.int64) - rebias_offset(plan.bits)
-    table = vec.to_float(
-        vec.parallel_products(patterns[:, None], all_codes[None, :], plan.bits)
-    )
-    # At most 65,536 distinct patterns, so every position fits in uint16.
-    idx = inverse.astype(np.uint16).reshape(a16.shape)
-    return _contract(a16, table, idx, plan)
-
-
 def execute_bitexact_scalar(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
     """Every product through the scalar bit-level multiplier (slow, exact).
 
     The original quadruple-nested validator loop, kept as the
-    independent oracle of ``batched`` and ``bitexact``.
+    independent oracle of ``batched``.
     """
     a16 = np.asarray(a, dtype=np.float16)
     _check_pack_alignment(plan)
@@ -197,7 +176,6 @@ def execute_bitexact_scalar(a: np.ndarray, plan: GemmPlan) -> np.ndarray:
 BACKENDS: dict[str, Callable[[np.ndarray, GemmPlan], np.ndarray]] = {
     "reference": execute_reference,
     "batched": execute_batched,
-    "bitexact": execute_bitexact,
     "bitexact-scalar": execute_bitexact_scalar,
 }
 

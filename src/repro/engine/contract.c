@@ -13,10 +13,9 @@
  * FP16-rounded products of activation (i, k), the ``ch`` lanes PacQ's
  * parallel multiplier produces for one activation.  ``batched`` passes
  * the whole-input table and the activations' raw FP16 patterns as the
- * indices; ``bitexact`` passes a table of the call's unique patterns
- * and each activation's position among them.  Each row tile gathers
- * its own products from the table into [k][channels] vectors, so one
- * selected product is one load; no gathered [k, m, ch] array exists.
+ * indices.  Each row tile gathers its own products from the table
+ * into [k][channels] vectors, so one selected product is one load; no
+ * gathered [k, m, ch] array exists.
  *
  * Vectorization runs only across activation rows, which are independent
  * lanes: one GCC vector of MT doubles per tile (a plain double for
@@ -26,10 +25,9 @@
  * tile for r = 3 or 4 and a padded 8-row tile for r = 5 to 7, so every
  * code is walked at most once more than the full tiles need.  Padding
  * lanes copy their products from a static row of 0.0, never from the
- * table (whose row 0 need not hold zeros: ``bitexact``'s holds the
- * products of the call's smallest pattern); their sum(A) is 0.0, their
- * outputs are never stored, and no operation mixes lanes, so every
- * stored output is bit-identical to an exact-width tile's.
+ * table (the kernel assumes no table row holds zeros); their sum(A) is
+ * 0.0, their outputs are never stored, and no operation mixes lanes, so
+ * every stored output is bit-identical to an exact-width tile's.
  */
 #include <stdint.h>
 #include <stdlib.h>

@@ -22,9 +22,8 @@ Computed lazily (first use, then cached on the plan):
 * ``signed`` — int16 signed codes (the representation PacQ packs),
   read only by ``reference``, ``bitexact-scalar`` and packing;
 * ``codes`` — the ``[n, k]`` uint8 channel codes the compiled
-  contraction of ``batched`` and ``bitexact`` reads (1 B per weight);
-  the product table they select from comes from the backend, not from
-  the plan;
+  contraction of ``batched`` reads (1 B per weight); the product table
+  it selects from comes from the backend, not from the plan;
 * ``contraction`` — that compiled kernel with the plan's codes,
   scale/adjust rows and dimensions bound, so a call passes only its
   own activations, product table and output;
@@ -158,7 +157,7 @@ class GemmPlan:
         the column of its activation's product-table row that the
         contraction adds.  One byte per weight, stored so each output
         column reads its codes in ascending k; built lazily on the first
-        ``batched`` or ``bitexact`` execution and cached on the plan.
+        ``batched`` execution and cached on the plan.
         """
         if self._codes is None:
             self._codes = np.ascontiguousarray(self.unsigned.T)

@@ -5,22 +5,13 @@ This package models the FP16 datapaths the PacQ paper builds on:
 * :mod:`repro.fp.fp16` — format codec (fields, encode/decode, RNE).
 * :mod:`repro.fp.mul` — the baseline FP16 multiplier of Fig. 5(a).
 * :mod:`repro.fp.add` — the FP16 adder used by DP-4 adder trees.
-* :mod:`repro.fp.dotprod` — functional DP-4 / dot-product references.
-* :mod:`repro.fp.bf16` — bfloat16 codec + multiplier (extension).
 * :mod:`repro.fp.vec` — vectorized array counterparts of the scalar
   kernels (whole-ndarray bit-exact codec, mul/add, tree reductions and
   parallel FP-INT lanes); the scalar modules remain the oracle.
 """
 
-from repro.fp import bf16, vec
+from repro.fp import vec
 from repro.fp.add import fp16_add, fp16_add_float, fp16_sum, fp16_tree_sum
-from repro.fp.dotprod import (
-    dot_fp16,
-    dot_fp16_batch,
-    dot_fp32,
-    dot_fp32_batch,
-    dp4_fp16,
-)
 from repro.fp.fp16 import (
     Fp16,
     combine,
@@ -41,14 +32,8 @@ from repro.fp.mul import MulTrace, fp16_mul, fp16_mul_float, fp16_mul_trace
 __all__ = [
     "Fp16",
     "MulTrace",
-    "bf16",
     "vec",
     "combine",
-    "dot_fp16",
-    "dot_fp16_batch",
-    "dot_fp32",
-    "dot_fp32_batch",
-    "dp4_fp16",
     "fp16_add",
     "fp16_add_float",
     "fp16_mul",

@@ -4,10 +4,11 @@ Array counterparts of the scalar bit-level models in :mod:`repro.fp`
 and :mod:`repro.multiplier.parallel`, operating on whole ndarrays of
 raw ``uint16`` bit patterns with numpy integer ops.  Each kernel is
 bit-for-bit identical to its scalar oracle (exhaustively and
-adversarially tested in ``tests/test_fp_vec.py``); the point is speed:
-the ``bitexact`` engine backend runs 100x+ faster through this layer,
-which turns the datapath validator into a tool that sweeps real LLM
-layer shapes.
+adversarially tested in ``tests/test_fp_vec.py``).  It is the middle
+link of the engine's oracle chain: ``tests/test_engine.py`` checks the
+``batched`` backend's product table against
+:func:`~repro.fp.vec.parallel.parallel_products` for every FP16 input,
+and the scalar modules check this layer.
 
 * :mod:`repro.fp.vec.codec` — ``split``/``combine``/``to_float``/
   ``from_float`` and predicates over bit arrays.

@@ -19,7 +19,7 @@ wrappers over this module; it is equally usable as a library::
 
     from repro.harness import SweepSpec, ResultCache, run_jobs
 
-    spec = SweepSpec.make(["table2"], grid={"backend": ["batched", "bitexact"]})
+    spec = SweepSpec.make(["table2"], grid={"backend": ["batched", "reference"]})
     outcomes = run_jobs(spec.jobs(), workers=2, cache=ResultCache("cache/"))
 """
 

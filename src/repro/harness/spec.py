@@ -139,9 +139,9 @@ def default_sweep() -> SweepSpec:
     """The stock sweep: every engine backend x every Table II group spec.
 
     Problem sizes are reduced (vocab 64, d_model 256, 128-token corpus)
-    so even the bit-level ``bitexact`` validator backend completes in
-    seconds per job; relative comparisons across backends/specs are the
-    point of a sweep, not absolute Table II values.
+    so even the per-element ``bitexact-scalar`` oracle backend finishes a
+    job in well under a minute; relative comparisons across backends/specs
+    are the point of a sweep, not absolute Table II values.
     """
     from repro.engine import backend_names
     from repro.quant.groups import TABLE2_SPECS

@@ -85,7 +85,7 @@ def table2_rows(
     """The Table II sweep: FP16 reference + each group geometry.
 
     ``mode`` selects the engine backend every quantized GEMM runs
-    through (``"batched"``/``"bitexact"`` are bit-identical).
+    through (``"batched"``/``"bitexact-scalar"`` are bit-identical).
     """
     rows = [
         PerplexityRow("fp16", None, evaluate_perplexity(model, tokens))

@@ -42,8 +42,8 @@ trailing *exact zeros* (masked attention columns) do not perturb it.
 BLAS ``@`` has neither property (its accumulation blocking depends on
 the batch dimension), which is why it is not used on this path.  The
 quantized linears keep the same guarantee because the engine's
-``batched``/``bitexact`` backends compute each activation row
-independently (``reference`` is BLAS-backed and excluded).
+``batched`` and ``bitexact-scalar`` backends compute each activation
+row independently (``reference`` is BLAS-backed and excluded).
 
 The implementation favours clarity over speed; dimensions are kept
 small enough for tests while scaling to ~10M parameters for examples.

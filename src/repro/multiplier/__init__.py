@@ -37,16 +37,10 @@ from repro.multiplier.parallel import (
     ParallelMulResult,
     lanes,
     parallel_fp_int_mul,
-    parallel_fp_int_mul_batch,
     rebias_offset,
     reference_products,
-    reference_products_batch,
     transform_offset,
     transformed_weight_bits,
-)
-from repro.multiplier.parallel_bf16 import (
-    ParallelBf16Result,
-    parallel_bf16_int_mul,
 )
 
 __all__ = [
@@ -61,9 +55,7 @@ __all__ = [
     "PARALLEL_INT11_INVENTORY",
     "PARALLEL_INT11_REUSED",
     "PIPELINE_FILL",
-    "ParallelBf16Result",
     "ParallelMulResult",
-    "parallel_bf16_int_mul",
     "TileWork",
     "baseline_int11_mul",
     "corrected_dot",
@@ -74,11 +66,9 @@ __all__ = [
     "packed_outputs",
     "pacq_dp",
     "parallel_fp_int_mul",
-    "parallel_fp_int_mul_batch",
     "parallel_int11_mul",
     "rebias_offset",
     "reference_products",
-    "reference_products_batch",
     "throughput",
     "transform_offset",
     "transformed_weight_bits",

@@ -224,25 +224,3 @@ def reference_products(a_bits: int, codes: list[int], weight_bits: int) -> list[
     return [
         fp16_mul(a_bits, transformed_weight_bits(code, weight_bits)) for code in codes
     ]
-
-
-def parallel_fp_int_mul_batch(a_bits, codes, weight_bits: int):
-    """Lane product bits for whole activation/code blocks at once.
-
-    The batch entry point of the parallel multiplier: ``a_bits`` is any
-    ndarray of raw FP16 patterns and ``codes`` any broadcastable ndarray
-    of signed INT2/INT4 codes (e.g. ``a[k, 1]`` against a whole
-    ``codes[k, n]`` weight block).  Evaluates through the vectorized
-    datapath of :mod:`repro.fp.vec.parallel` — bit-identical to calling
-    :func:`parallel_fp_int_mul` per element, at numpy-lane speed.
-    """
-    from repro.fp.vec.parallel import parallel_products
-
-    return parallel_products(a_bits, codes, weight_bits)
-
-
-def reference_products_batch(a_bits, codes, weight_bits: int):
-    """Vectorized :func:`reference_products` for whole blocks."""
-    from repro.fp.vec.parallel import reference_products as vec_reference
-
-    return vec_reference(a_bits, codes, weight_bits)

@@ -33,7 +33,7 @@ computes each token row independently of its batch — see
 :mod:`repro.llm.transformer`), so serving with the cache on is
 bit-identical to serving with it off.  The cache is keyed on tokens
 only: share one instance per model/weights (the engine's
-``batched``/``bitexact`` backends produce identical KV, so
+``batched`` and ``bitexact-scalar`` backends produce identical KV, so
 backend mixes are safe; BLAS-backed ``reference`` is not).
 
 Telemetry (:meth:`stats`) counts hits/misses at both request and

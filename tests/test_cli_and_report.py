@@ -72,16 +72,16 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["run", "table2", "--backend", "fast"])
         err = capsys.readouterr().err
-        for name in ("reference", "batched", "bitexact", "bitexact-scalar"):
+        for name in ("reference", "batched", "bitexact-scalar"):
             assert repr(name) in err
 
     def test_backend_flag_accepted(self, capsys):
-        argv = ["run", "table2", "--backend", "bitexact", "--set", "vocab=64",
+        argv = ["run", "table2", "--backend", "reference", "--set", "vocab=64",
                 "--set", "d_model=256", "--set", "corpus_len=64",
                 "--set", "spec=g128", "--format", "json"]
         assert main(argv) == 0
         [record] = json.loads(capsys.readouterr().out)
-        assert record["params"]["backend"] == "bitexact"
+        assert record["params"]["backend"] == "reference"
 
     def test_backend_flag_rejects_unknown(self):
         with pytest.raises(SystemExit):

@@ -22,7 +22,6 @@ from repro.core.workloads import (
     batch_sweep,
     fig10_workload,
     microbench_workload,
-    model_workloads,
 )
 from repro.errors import ConfigError
 from repro.simt.flows import FlowKind
@@ -132,9 +131,6 @@ class TestWorkloads:
     def test_batch_sweep(self):
         shapes = batch_sweep(GemmShape(1, 64, 64), [1, 8, 32])
         assert [s.m for s in shapes] == [1, 8, 32]
-
-    def test_model_workloads(self):
-        assert len(model_workloads(LLAMA2_7B)) == 5
 
     def test_rejects_bad_batch(self):
         with pytest.raises(ConfigError):

@@ -93,7 +93,7 @@ def test_unknown_backend_fails_at_construction(
     monkeypatch.setattr(router_module, "spawn_worker", _no_spawn)
     with pytest.raises(
         QuantizationError,
-        match="'nope'; valid backends: batched, bitexact, bitexact-scalar, reference",
+        match="'nope'; valid backends: batched, bitexact-scalar, reference",
     ):
         build(qmodel, tmp_path)
 

@@ -15,14 +15,8 @@ from repro.fp import fp16, vec
 from repro.fp.add import fp16_add as scalar_add
 from repro.fp.add import fp16_sum as scalar_sum
 from repro.fp.add import fp16_tree_sum as scalar_tree_sum
-from repro.fp.dotprod import dot_fp16, dot_fp16_batch, dot_fp32, dot_fp32_batch
 from repro.fp.mul import fp16_mul as scalar_mul
-from repro.multiplier.parallel import (
-    lanes,
-    parallel_fp_int_mul,
-    parallel_fp_int_mul_batch,
-    reference_products_batch,
-)
+from repro.multiplier.parallel import lanes, parallel_fp_int_mul
 
 #: Every 16-bit pattern.
 ALL_BITS = np.arange(1 << 16, dtype=np.uint16)
@@ -243,27 +237,6 @@ class TestReductionsVsOracle:
         assert np.array_equal(vec.fp16_tree_sum(empty), np.zeros(3, np.uint16))
         assert np.array_equal(vec.fp16_sum(empty), np.zeros(3, np.uint16))
 
-    @pytest.mark.parametrize("length", [3, 4, 8, 11])
-    def test_dot_fp16_batch_matches_scalar(self, length):
-        rng = np.random.default_rng(30 + length)
-        a = rng.integers(0, 1 << 16, size=(16, length)).astype(np.uint16)
-        b = rng.choice(EDGE_BITS, size=(16, length)).astype(np.uint16)
-        got = dot_fp16_batch(a, b)
-        expected = np.array(
-            [dot_fp16([int(x) for x in ra], [int(y) for y in rb])
-             for ra, rb in zip(a, b, strict=False)],
-            dtype=np.uint16,
-        )
-        assert np.array_equal(got, expected)
-
-    def test_dot_fp32_batch_matches_scalar(self):
-        rng = np.random.default_rng(40)
-        a = rng.normal(size=(8, 32))
-        b = rng.normal(size=(8, 32))
-        got = dot_fp32_batch(a, b)
-        expected = np.array([dot_fp32(ra, rb) for ra, rb in zip(a, b, strict=False)])
-        assert np.array_equal(got, expected)
-
 
 class TestParallelVsOracle:
     def _scalar_lane_products(self, a_bits: int, codes: np.ndarray, bits: int):
@@ -278,7 +251,7 @@ class TestParallelVsOracle:
     def test_all_codes_edge_activations(self, bits):
         offset = 1 << (bits - 1)
         codes = np.arange(-offset, offset)
-        got = parallel_fp_int_mul_batch(EDGE_BITS[:, None], codes[None, :], bits)
+        got = vec.parallel_products(EDGE_BITS[:, None], codes[None, :], bits)
         for i, a_bits in enumerate(EDGE_BITS):
             expected = self._scalar_lane_products(int(a_bits), codes, bits)
             assert np.array_equal(got[i], np.array(expected, dtype=np.uint16)), hex(a_bits)
@@ -290,7 +263,7 @@ class TestParallelVsOracle:
         k, n = 16, 4 * lanes(bits)
         a = rng.integers(0, 1 << 16, size=(k, 1)).astype(np.uint16)
         codes = rng.integers(-offset, offset, size=(k, n))
-        got = parallel_fp_int_mul_batch(a, codes, bits)
+        got = vec.parallel_products(a, codes, bits)
         for i in range(k):
             expected = self._scalar_lane_products(int(a[i, 0]), codes[i], bits)
             assert np.array_equal(got[i], np.array(expected, dtype=np.uint16))
@@ -300,7 +273,7 @@ class TestParallelVsOracle:
         offset = 1 << (bits - 1)
         a = np.full((1, 2 * offset), 0x7BFF, dtype=np.uint16)  # 65504
         codes = np.arange(-offset, offset)[None, :]
-        got = parallel_fp_int_mul_batch(a, codes, bits)
+        got = vec.parallel_products(a, codes, bits)
         assert np.all(vec.is_inf(got))
 
     def test_matches_vectorized_reference_products(self):
@@ -308,14 +281,14 @@ class TestParallelVsOracle:
         a = rng.integers(0, 1 << 16, size=(256, 1)).astype(np.uint16)
         codes = rng.integers(-8, 8, size=(256, 8))
         assert np.array_equal(
-            parallel_fp_int_mul_batch(a, codes, 4),
-            reference_products_batch(a, codes, 4),
+            vec.parallel_products(a, codes, 4),
+            vec.reference_products(a, codes, 4),
         )
 
     def test_rejects_out_of_range_codes_and_widths(self):
         with pytest.raises(EncodingError):
-            parallel_fp_int_mul_batch(EDGE_BITS[:1], np.array([8]), 4)
+            vec.parallel_products(EDGE_BITS[:1], np.array([8]), 4)
         with pytest.raises(EncodingError):
-            parallel_fp_int_mul_batch(EDGE_BITS[:1], np.array([-3]), 2)
+            vec.parallel_products(EDGE_BITS[:1], np.array([-3]), 2)
         with pytest.raises(EncodingError):
-            parallel_fp_int_mul_batch(EDGE_BITS[:1], np.array([0]), 8)
+            vec.parallel_products(EDGE_BITS[:1], np.array([0]), 8)

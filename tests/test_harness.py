@@ -120,7 +120,7 @@ class TestResultCache:
     def test_param_change_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(self.job(), self.result())
-        other = Job.make("table2", dict(SMALL, backend="bitexact", spec="g128"))
+        other = Job.make("table2", dict(SMALL, backend="reference", spec="g128"))
         assert cache.get(other) is None
 
     def test_code_version_change_invalidates(self, tmp_path, monkeypatch):
@@ -350,7 +350,7 @@ class TestCliCompat:
         assert "cache: 2/2 jobs served from cache" in second
 
     def test_stock_sweep_honors_set_overrides(self, tmp_path, capsys):
-        # Tiny sizes keep the stock sweep's bitexact jobs fast.
+        # Tiny sizes keep the stock sweep's bitexact-scalar jobs fast.
         argv = [
             "sweep", "--set", "corpus_len=24", "--set", "vocab=8",
             "--cache-dir", str(tmp_path), "--jobs", "2",

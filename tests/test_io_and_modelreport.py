@@ -1,12 +1,9 @@
-"""Tests for checkpoint serialization and whole-model reports."""
+"""Tests for checkpoint serialization."""
 
 import numpy as np
 import pytest
 
-from repro.core.arch import pacq, standard_dequant
-from repro.core.modelreport import compare_models, evaluate_model
-from repro.core.workloads import LLAMA2_7B, LlmSpec
-from repro.errors import ConfigError, QuantizationError
+from repro.errors import QuantizationError
 from repro.quant.groups import GroupSpec
 from repro.quant.io import load_packed, load_quantized, save_packed, save_quantized
 from repro.quant.packing import PackDim, PackSpec, pack, unpack
@@ -91,54 +88,3 @@ class TestCheckpointVersioning:
         np.savez(path, kind="quantized")
         with pytest.raises(QuantizationError, match="version"):
             load_quantized(path)
-
-
-class TestModelReport:
-    @pytest.fixture(scope="class")
-    def toy_spec(self):
-        return LlmSpec("toy", hidden=256, intermediate=512, num_layers=4, vocab=1000)
-
-    def test_layer_count(self, toy_spec):
-        report = evaluate_model(pacq(4), toy_spec, batch=16)
-        assert len(report.layers) == 5
-
-    def test_totals_scale_with_layer_count(self, toy_spec):
-        report = evaluate_model(pacq(4), toy_spec, batch=16)
-        per_layer = sum(ly.result.cycles for ly in report.layers)
-        assert report.total_cycles == 4 * per_layer
-
-    def test_weight_storage_int4_is_quarter_fp16(self, toy_spec):
-        report = evaluate_model(pacq(4), toy_spec, batch=16)
-        assert report.weight_storage_bytes(4) == pytest.approx(
-            report.weight_storage_bytes(16) / 4
-        )
-
-    def test_compare_models(self, toy_spec):
-        std = evaluate_model(standard_dequant(4), toy_spec, batch=16)
-        ours = evaluate_model(pacq(4), toy_spec, batch=16)
-        delta = compare_models(std, ours)
-        assert delta["speedup"] == pytest.approx(1.955, abs=0.05)
-        assert delta["energy_ratio"] < 1.0
-        assert 0.4 < delta["edp_reduction"] < 0.9
-
-    def test_compare_rejects_different_models(self, toy_spec):
-        other = LlmSpec("other", 256, 512, 4, 1000)
-        a = evaluate_model(pacq(4), toy_spec, batch=16)
-        b = evaluate_model(pacq(4), other, batch=16)
-        with pytest.raises(ConfigError):
-            compare_models(a, b)
-
-    def test_rejects_untileable_layer(self):
-        ragged = LlmSpec("ragged", hidden=100, intermediate=200, num_layers=1, vocab=10)
-        with pytest.raises(ConfigError):
-            evaluate_model(pacq(4), ragged, batch=16)
-
-    def test_llama2_7b_headline(self):
-        std = evaluate_model(standard_dequant(4), LLAMA2_7B, batch=16)
-        ours = evaluate_model(pacq(4), LLAMA2_7B, batch=16)
-        delta = compare_models(std, ours)
-        # The paper's headline numbers hold at whole-model granularity.
-        assert delta["speedup"] > 1.9
-        assert delta["edp_reduction"] > 0.6
-        # Llama2-7B decoder weights at INT4: ~3.2 GB vs ~12.9 GB FP16.
-        assert ours.weight_storage_bytes(4) == pytest.approx(3.24e9, rel=0.1)

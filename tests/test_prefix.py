@@ -23,7 +23,7 @@ from repro.serve import (
 
 #: Backends with the row-independence guarantee ("reference" is
 #: BLAS-backed and excluded) — same set as tests/test_serve.py.
-BACKENDS = ("batched", "bitexact")
+BACKENDS = ("batched",)
 
 
 @pytest.fixture(scope="module")
@@ -305,9 +305,8 @@ class TestBitIdentityWithCache:
         config, _, qmodel = setup
         rng = np.random.default_rng(8)
         shared = rng.integers(0, config.vocab, size=10)
-        count = 3 if backend == "bitexact" else 6
         requests = []
-        for i in range(count):
+        for i in range(6):
             suffix = rng.integers(0, config.vocab, size=2 + i % 3)
             requests.append(
                 Request(

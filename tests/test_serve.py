@@ -24,8 +24,9 @@ from repro.serve import (
 
 #: Engine backends whose kernels compute each activation row
 #: independently of the batch (the bit-identity guarantee; "reference"
-#: is BLAS-backed and excluded).
-BACKENDS = ("batched", "bitexact")
+#: is BLAS-backed and excluded, and the ``bitexact-scalar`` oracle is
+#: too slow to decode with).
+BACKENDS = ("batched",)
 
 
 @pytest.fixture(scope="module")
@@ -121,8 +122,7 @@ class TestBitIdentity:
         config, weights, qmodel = setup
         decoder = Decoder(config, weights, qmodel, backend=backend)
         rng = np.random.default_rng(0)
-        sizes = (3, 5) if backend == "bitexact" else (5, 9, 3, 12)
-        prompts = [rng.integers(0, config.vocab, size=n) for n in sizes]
+        prompts = [rng.integers(0, config.vocab, size=n) for n in (5, 9, 3, 12)]
         singles = [decoder.forward(prompt) for prompt in prompts]
         batched_cache = decoder.init_batched_cache(len(prompts), capacity=16)
         slots = [batched_cache.allocate() for _ in prompts]
@@ -135,9 +135,7 @@ class TestBitIdentity:
         config, weights, qmodel = setup
         decoder = Decoder(config, weights, qmodel, backend=backend)
         rng = np.random.default_rng(1)
-        steps = 2 if backend == "bitexact" else 5
-        sizes = (3, 4) if backend == "bitexact" else (5, 9, 3)
-        prompts = [rng.integers(0, config.vocab, size=n) for n in sizes]
+        prompts = [rng.integers(0, config.vocab, size=n) for n in (5, 9, 3)]
         solos = [InferenceSession(qmodel, backend=backend) for _ in prompts]
         for solo, prompt in zip(solos, prompts, strict=True):
             solo.prefill(prompt)
@@ -145,7 +143,7 @@ class TestBitIdentity:
         slots = [batched_cache.allocate() for _ in prompts]
         ragged = decoder.prefill_ragged(prompts, batched_cache, slots)
         batch_last = [rows[-1] for rows in ragged]
-        for step in range(steps):
+        for step in range(5):
             tokens = [int(np.argmax(row)) for row in batch_last]
             batch = decoder.decode_batch(tokens, batched_cache, slots)
             for i, token in enumerate(tokens):

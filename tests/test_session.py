@@ -39,8 +39,9 @@ class TestKvCacheBitIdentity:
 
     #: Engine backends whose kernels compute each activation row
     #: independently of the batch ("reference" is BLAS-backed and
-    #: carries no such guarantee).
-    BACKENDS = ("batched", "bitexact")
+    #: carries no such guarantee; the ``bitexact-scalar`` oracle is too
+    #: slow to decode with).
+    BACKENDS = ("batched",)
 
     @staticmethod
     def assert_steps_match_forward(session, decoder, tokens, cut):
@@ -54,10 +55,9 @@ class TestKvCacheBitIdentity:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_steps_match_forward(self, setup, backend):
         config, weights, tokens, qmodel = setup
-        n = 8 if backend == "bitexact" else tokens.shape[0]
         session = InferenceSession(qmodel, backend=backend)
         decoder = Decoder(config, weights, qmodel, backend=backend)
-        self.assert_steps_match_forward(session, decoder, tokens[:n], 3)
+        self.assert_steps_match_forward(session, decoder, tokens, 3)
 
     def test_single_token_prefill_and_long_offsets(self, setup):
         # RoPE offsets exercised far from zero: prefill one token, then

@@ -19,7 +19,6 @@ decisions; none of them may change a single emitted token.
 import numpy as np
 import pytest
 
-from repro.engine import DEFAULT_BACKEND
 from repro.llm.transformer import TransformerConfig, init_weights
 from repro.model import InferenceSession, parse_policy, quantize_model
 from repro.serve import (
@@ -99,11 +98,11 @@ def make_draft(name, setup):
     raise AssertionError(name)
 
 
-def reference_streams(qmodel, requests, backend=DEFAULT_BACKEND):
+def reference_streams(qmodel, requests):
     """Per-request (tokens, finish_reason) via InferenceSession."""
     out = []
     for request in requests:
-        result = InferenceSession(qmodel, backend=backend).generate(
+        result = InferenceSession(qmodel).generate(
             request.prompt,
             request.max_new,
             top_k=request.top_k,
@@ -121,23 +120,15 @@ def reference_streams(qmodel, requests, backend=DEFAULT_BACKEND):
 
 @pytest.fixture(scope="module")
 def reference(setup, requests):
-    """backend -> reference streams, each computed once per module."""
-    memo = {}
-
-    def streams(backend):
-        if backend not in memo:
-            memo[backend] = reference_streams(setup[2], requests, backend)
-        return memo[backend]
-
-    return streams
+    """The reference streams, computed once per module."""
+    return reference_streams(setup[2], requests)
 
 
-def scheduler_streams(setup, requests, path, backend=DEFAULT_BACKEND):
+def scheduler_streams(setup, requests, path):
     config, _, qmodel = setup
     with_cache, chunk, draft_name, k = PATHS[path]
     session = BatchedSession(
         qmodel,
-        backend=backend,
         max_slots=4,
         prefix_cache=RadixPrefixCache(4 << 20) if with_cache else None,
     )
@@ -153,33 +144,10 @@ def scheduler_streams(setup, requests, path, backend=DEFAULT_BACKEND):
 
 class TestTokenIdentity:
     @pytest.mark.parametrize("path", sorted(PATHS))
-    def test_path_matches_reference(self, setup, requests, path):
-        _, _, qmodel = setup
-        expect = reference_streams(qmodel, requests)
+    def test_path_matches_reference(self, setup, requests, reference, path):
         got = scheduler_streams(setup, requests, path)
-        for request_index, (a, b) in enumerate(zip(expect, got, strict=False)):
+        for request_index, (a, b) in enumerate(zip(reference, got, strict=False)):
             assert a == b, (path, request_index)
-
-    @pytest.mark.parametrize("backend", ("batched", "bitexact"))
-    @pytest.mark.parametrize("path", sorted(PATHS))
-    def test_path_matches_reference_on_backend(
-        self, setup, requests, reference, path, backend
-    ):
-        """The matrix holds on every row-independent backend, including
-        the ``bitexact`` validator."""
-        got = scheduler_streams(setup, requests, path, backend=backend)
-        assert got == reference(backend)
-
-    @pytest.mark.parametrize("backend", ("batched",))
-    def test_backends_agree_on_the_full_stack(
-        self, setup, requests, reference, backend
-    ):
-        """The everything-on path on ``batched`` serves the ``bitexact``
-        oracle's streams."""
-        got = scheduler_streams(
-            setup, requests, "everything-on", backend=backend
-        )
-        assert got == reference("bitexact")
 
     def test_speculative_session_matches_generate(self, setup, requests):
         """Speculation over a single slot joins the same matrix."""
