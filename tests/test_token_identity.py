@@ -19,6 +19,7 @@ decisions; none of them may change a single emitted token.
 import numpy as np
 import pytest
 
+from repro.engine import DEFAULT_BACKEND
 from repro.llm.transformer import TransformerConfig, init_weights
 from repro.model import InferenceSession, parse_policy, quantize_model
 from repro.serve import (
@@ -42,6 +43,9 @@ PATHS = {
     "speculative-adversarial": (False, None, "adversarial", 3),
     "everything-on": (True, 6, "bigram", 4),
 }
+
+#: How many requests of the workload the ``bitexact-scalar`` oracle serves.
+ORACLE_REQUESTS = 3
 
 
 @pytest.fixture(scope="module")
@@ -124,11 +128,12 @@ def reference(setup, requests):
     return reference_streams(setup[2], requests)
 
 
-def scheduler_streams(setup, requests, path):
+def scheduler_streams(setup, requests, path, backend=DEFAULT_BACKEND):
     config, _, qmodel = setup
     with_cache, chunk, draft_name, k = PATHS[path]
     session = BatchedSession(
         qmodel,
+        backend=backend,
         max_slots=4,
         prefix_cache=RadixPrefixCache(4 << 20) if with_cache else None,
     )
@@ -148,6 +153,21 @@ class TestTokenIdentity:
         got = scheduler_streams(setup, requests, path)
         for request_index, (a, b) in enumerate(zip(reference, got, strict=False)):
             assert a == b, (path, request_index)
+
+    @pytest.mark.parametrize("backend", ("batched", "bitexact-scalar"))
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_path_matches_reference_on_backend(
+        self, setup, requests, reference, path, backend
+    ):
+        """The matrix holds on every row-independent backend, including
+        the ``bitexact-scalar`` oracle, whose streams must also equal the
+        default backend's reference.  The oracle's per-element loop is
+        slow, so it serves the first ``ORACLE_REQUESTS`` requests: greedy
+        and top-k, eos and length stops, with and without the shared
+        prefix."""
+        n = ORACLE_REQUESTS if backend == "bitexact-scalar" else len(requests)
+        got = scheduler_streams(setup, requests[:n], path, backend=backend)
+        assert got == reference[:n]
 
     def test_speculative_session_matches_generate(self, setup, requests):
         """Speculation over a single slot joins the same matrix."""
